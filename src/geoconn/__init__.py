@@ -55,13 +55,10 @@ from .tensor import (
     adjacency,
     apply,
     explicit,
-    identity_tensor,
     is_weakly_irreducible,
     laplacian,
     shifted_laplacian,
-    subtensor,
     support_digraph,
-    symmetrize,
 )
 
 __all__ = [
@@ -97,7 +94,6 @@ __all__ = [
     "degrees",
     "explicit",
     "geometry_connectivity",
-    "identity_tensor",
     "induced",
     "is_regular",
     "is_weakly_irreducible",
@@ -106,9 +102,7 @@ __all__ = [
     "rho_connectivity",
     "shifted_laplacian",
     "signed_null_vectors_demo",
-    "subtensor",
     "support_digraph",
-    "symmetrize",
     "verify_h_eigenpair",
     "verify_z_eigenpair",
     "z_geometry_connectivity",

@@ -7,7 +7,7 @@ hold one number per line, as an integer, a rational ``p/q`` or a decimal;
 integer and rational entries keep the computation exact.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
-2 malformed input, 3 iteration did not converge.
+2 malformed input, 3 iteration did not converge (``perron`` only).
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from .hypergraph import Hypergraph, connected_components, construct, degrees
 from .spectral import (
     DEFAULT_TOL,
     MAX_ITER,
+    PERRON_TOL,
     ConnectivityReport,
     EigenpairCertificate,
     geometry_connectivity,
     perron,
-    rho_connectivity,
     verify_h_eigenpair,
     verify_z_eigenpair,
-    z_geometry_connectivity,
 )
 from .tensor import Number, TensorView, adjacency, laplacian, shifted_laplacian
 
@@ -177,31 +176,42 @@ def _certificate_document(certificate: EigenpairCertificate) -> dict:
     }
 
 
-def _report_document(g: Hypergraph, source: str, report: ConnectivityReport,
-                     rho_report: ConnectivityReport | None) -> dict:
+def _perron_block(g: Hypergraph) -> dict | None:
+    """The Perron pair of the shifted Laplacian s*I - L_G of a connected
+    input with edges, s the maximum degree, or None when it is rejected.
+
+    The pair is (s, all-ones) in closed form: L_G 1 = 0, and a weakly
+    irreducible nonnegative tensor has a unique positive eigenvector up to
+    scale (Friedland, Gaubert and Han). It is checked by one application of
+    the tensor, the step at which ``perron`` stops on this tensor.
+    """
+    shift = max(degrees(g))
+    pair = verify_h_eigenpair(shifted_laplacian(g, shift), float(shift), (1.0,) * g.n,
+                              PERRON_TOL)
+    if not pair.accepted:
+        return None
+    return {
+        "rho": _decimal(pair.eigenvalue),
+        "vector": [_decimal(v) for v in pair.vector],
+        "iterations": 1,
+        "tolerance": _decimal(pair.tol),
+    }
+
+
+def _report_document(g: Hypergraph, source: str, report: ConnectivityReport) -> dict:
     connected = report.component_count == 1
-    perron_block = None
-    runs = [run for run in report.perron_runs if run is not None]
-    if connected and runs:
-        run = runs[0]
-        perron_block = {
-            "rho": _decimal(run.rho),
-            "vector": [_decimal(v) for v in run.vector],
-            "iterations": run.iterations,
-            "tolerance": _decimal(run.tolerance),
-        }
     return {
         "schema_version": "1",
         "input": {"k": g.k, "n": g.n, "m": g.m, "source": source},
         "components": [list(part) for part in report.decomposition.parts],
         "beta": report.beta,
         "beta_z": report.beta_z,
-        "beta_rho": rho_report.beta_rho if rho_report is not None else None,
+        "beta_rho": report.beta_rho,
         "connected": connected,
         "weakly_irreducible": report.weakly_irreducible,
         "regular_degree": report.regular_degree,
         "certificates": [_certificate_document(c) for c in report.certificates],
-        "perron": perron_block,
+        "perron": _perron_block(g) if connected and g.n > 1 else None,
     }
 
 
@@ -264,26 +274,22 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 def _cmd_beta(args: argparse.Namespace) -> int:
     g = load_hypergraph(args.hypergraph)
+    report = geometry_connectivity(g, tol=args.tol)
     if args.z:
-        report = z_geometry_connectivity(g, tol=args.tol, max_iter=args.max_iter)
-        label = "beta_z"
-        value = report.beta_z
+        label, value, certificates = "beta_z", report.beta_z, report.z_certificates
     else:
-        report = geometry_connectivity(g, tol=args.tol, max_iter=args.max_iter)
-        label = "beta"
-        value = report.beta
-    if not all(c.accepted for c in report.certificates):
-        # cannot happen for indicator certificates; guards future variants
+        label, value, certificates = "beta", report.beta, report.certificates
+    if not all(c.accepted for c in certificates):
         return EXIT_MISMATCH
     if args.format == "json":
         document = {
             label: value,
-            "certificates": [_certificate_document(c) for c in report.certificates],
+            "certificates": [_certificate_document(c) for c in certificates],
         }
         _emit(json.dumps(document, indent=2), args.out)
     else:
         lines = [f"{label} = {value}"]
-        for number, cert in enumerate(report.certificates, start=1):
+        for number, cert in enumerate(certificates, start=1):
             entries = ", ".join(_decimal(v) for v in cert.vector)
             suffix = " (exact)" if cert.exact else ""
             lines.append(f"certificate {number}: ({entries}) "
@@ -337,58 +343,51 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = load_hypergraph(args.hypergraph)
-    report = geometry_connectivity(g, tol=args.tol, max_iter=args.max_iter)
-    z_report = z_geometry_connectivity(g, tol=args.tol, max_iter=args.max_iter)
+    report = geometry_connectivity(g, tol=args.tol)
     expected = _union_find_count(g)
     checks = [
         ("beta equals component count", report.beta == expected),
-        ("beta_z equals component count", z_report.beta_z == expected),
+        ("beta_z equals component count", report.beta_z == expected),
         ("null certificates accepted",
-         all(c.accepted for c in report.certificates + z_report.certificates)),
+         all(c.accepted for c in report.certificates + report.z_certificates)),
     ]
-    rho_value = None
     if report.regular_degree is not None:
-        rho_report = rho_connectivity(g, tol=args.tol, max_iter=args.max_iter)
-        rho_value = rho_report.beta_rho
-        checks.append(("beta_rho equals component count", rho_value == expected))
+        checks.append(("beta_rho equals component count", report.beta_rho == expected))
         checks.append(("rho certificates accepted",
-                       all(c.accepted for c in rho_report.certificates)))
-    lines = []
-    ok = True
-    for name, passed in checks:
-        ok = ok and passed
-        lines.append(f"{'ok' if passed else 'MISMATCH'}: {name}")
-    if not report.maximality_certified:
-        lines.append("UNVERIFIED: maximality iteration did not converge")
-        _emit("\n".join(lines), args.out)
-        return EXIT_NO_CONVERGENCE
+                       all(c.accepted for c in report.rho_certificates)))
+    lines = [f"{'ok' if passed else 'MISMATCH'}: {name}" for name, passed in checks]
     lines.append(f"beta = {expected} = components")
     _emit("\n".join(lines), args.out)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if all(passed for _, passed in checks) else EXIT_MISMATCH
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     g = load_hypergraph(args.hypergraph)
-    report = geometry_connectivity(g, tol=args.tol, max_iter=args.max_iter)
-    rho_report = None
-    if report.regular_degree is not None:
-        rho_report = rho_connectivity(g, tol=args.tol, max_iter=args.max_iter)
-    document = _report_document(g, args.hypergraph, report, rho_report)
+    # the analysis is released before rendering, the memory peak of a report
+    document = _report_document(g, args.hypergraph, geometry_connectivity(g, tol=args.tol))
     _emit(json.dumps(document, indent=2), args.out)
-    if not report.maximality_certified:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    rejected = document["connected"] and g.n > 1 and document["perron"] is None
+    return EXIT_MISMATCH if rejected else EXIT_OK
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("hypergraph", help="hypergraph file (k n m header + edge lines)")
+    sub.add_argument("--out", default=None, help="write output to a file")
+
+
+def _add_tol(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="acceptance tolerance (default 1e-9)")
+
+
+def _add_max_iter(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iter", type=int, default=MAX_ITER,
                      help="power iteration cap (default 10000)")
+
+
+def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="text",
                      help="output format (default text)")
-    sub.add_argument("--out", default=None, help="write output to a file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,18 +398,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("components", help="connected components")
     _add_common(sub)
+    _add_format(sub)
 
     sub = commands.add_parser("beta", help="geometry connectivity with certificates")
     _add_common(sub)
+    _add_tol(sub)
+    _add_format(sub)
     sub.add_argument("--z", action="store_true", help="use Z-eigenvector normalization")
 
     sub = commands.add_parser("perron", help="spectral radius by power iteration")
     _add_common(sub)
+    _add_tol(sub)
+    _add_max_iter(sub)
+    _add_format(sub)
     sub.add_argument("--tensor", choices=TENSOR_CHOICES, default="adjacency",
                      help="tensor to iterate on (default adjacency)")
 
     sub = commands.add_parser("verify", help="check a candidate eigenpair")
     _add_common(sub)
+    _add_tol(sub)
+    _add_format(sub)
     sub.add_argument("--vector", required=True,
                      help="vector file, one number per line")
     sub.add_argument("--lambda", dest="lam", required=True,
@@ -422,9 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("check",
                               help="cross-check beta variants against components")
     _add_common(sub)
+    _add_tol(sub)
 
     sub = commands.add_parser("report", help="full JSON connectivity report")
     _add_common(sub)
+    _add_tol(sub)
 
     return parser
 

@@ -5,12 +5,19 @@ Two eigenpair notions are handled for an order-m tensor T:
     H:  T x^{m-1} = lambda * x^{[m-1]}        (x^{[p]} = entrywise p-th power)
     Z:  T x^{m-1} = lambda * x  and  x'x = 1
 
-The headline computations certify that the number of connected components r
+The headline computation certifies that the number of connected components r
 of a k-uniform hypergraph equals the maximum number of linearly independent
-nonnegative null eigenvectors of its Laplacian tensor: the component
-indicator vectors are verified exactly as 0-eigenvectors, and maximality is
-pinned per component through the uniqueness of the Perron vector of the
-component's shifted Laplacian.
+nonnegative null eigenvectors of its Laplacian tensor. Each component
+indicator vector is verified exactly as a 0-eigenvector of its component's
+Laplacian, and beta counts the certificates that pass. Maximality is not
+computed; it rests on two theorems. A weakly irreducible nonnegative tensor
+has a unique positive eigenvector up to scale (Friedland, Gaubert and Han,
+Linear Algebra Appl. 438, 2013), and the nonnegative null vectors of the
+Laplacian tensor are the nonnegative combinations of the component
+indicators (Hu and Qi, Discrete Appl. Math. 169, 2014). Both apply to the
+parts the analysis certifies, because the analysis checks that each part is
+closed under edges, and the breadth-first search makes each part connected.
+``perron`` is a standalone solver for the spectral radius.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .hypergraph import (
     ComponentDecomposition,
     Hypergraph,
     connected_components,
-    induced,
     is_regular,
 )
 from .tensor import (
@@ -42,7 +48,6 @@ from .tensor import (
     is_exact_scalar,
     is_weakly_irreducible,
     laplacian,
-    shifted_laplacian,
 )
 
 DEFAULT_TOL = 1e-9
@@ -51,11 +56,6 @@ MAX_ITER = 10000
 
 VARIANT_H = "H"
 VARIANT_Z = "Z"
-
-# Maximality certification status per component.
-CERTIFIED = "certified"
-TRIVIAL = "trivial"
-UNVERIFIED = "unverified"
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,17 @@ class PerronResult:
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    """Everything the connectivity computations certify about one hypergraph.
+    """Everything the connectivity analysis certifies about one hypergraph.
 
-    ``certificates`` holds one verified eigenpair per component, in component
-    order. ``maximality`` records per component whether the basis was proved
-    maximal: ``certified`` (Perron vector of the component's shifted
-    Laplacian is parallel to the all-ones vector), ``trivial`` (singleton
-    component) or ``unverified`` (iteration did not converge).
+    Each certificate set holds one eigenpair per component, in component
+    order, verified on the component and placed in a full-length vector:
+    ``certificates`` the indicators as H-eigenvectors of the Laplacian at 0,
+    ``z_certificates`` the unit-norm indicators as Z-eigenvectors at 0, and
+    ``rho_certificates`` (regular input only, otherwise None) the indicators
+    as H-eigenvectors of the adjacency tensor at the degree. ``beta``,
+    ``beta_z`` and ``beta_rho`` count the accepted certificates of each set.
+    ``spectral_radius`` is the adjacency spectral radius of a regular input,
+    its degree, and None otherwise.
     """
 
     component_count: int
@@ -110,12 +114,8 @@ class ConnectivityReport:
     regular_degree: int | None
     spectral_radius: Number | None
     decomposition: ComponentDecomposition = field(repr=False)
-    maximality: tuple[str, ...] = field(repr=False)
-    perron_runs: tuple[PerronResult | None, ...] = field(repr=False)
-
-    @property
-    def maximality_certified(self) -> bool:
-        return all(status != UNVERIFIED for status in self.maximality)
+    z_certificates: tuple[EigenpairCertificate, ...] = field(repr=False)
+    rho_certificates: tuple[EigenpairCertificate, ...] | None = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -233,119 +233,121 @@ def perron(view: TensorView, tol: float = PERRON_TOL,
         lower - 1.0, upper - 1.0, max_iter)
 
 
-def _indicator(n: int, part: Sequence[int]) -> tuple[int, ...]:
-    members = set(part)
-    return tuple(1 if v in members else 0 for v in range(1, n + 1))
+def _unit_vector(size: int) -> tuple[Number, ...]:
+    # 1/sqrt(size) in every entry; exact rational when size is a square
+    r = isqrt(size)
+    entry: Number = Fraction(1, r) if r * r == size else 1.0 / sqrt(size)
+    return (entry,) * size
 
 
-def _cosine_with_ones(vector: Sequence[float]) -> float:
-    n = len(vector)
-    total = sum(vector)
-    norm = sqrt(sum(v * v for v in vector) * n)
-    return total / norm
+def _component_graphs(g: Hypergraph,
+                      decomposition: ComponentDecomposition) -> list[Hypergraph]:
+    """One sub-hypergraph per part, members relabeled 1..|part| in label
+    order, in O(n + k*m). ``g`` itself stands for a part that covers every
+    vertex.
+
+    Raises ValueError naming the edge when an edge has a member outside its
+    assigned part: the per-component certificates are exact only for parts
+    closed under edges.
+    """
+    parts = decomposition.parts
+    if len(parts) == 1 and len(parts[0]) == g.n:
+        return [g]
+    owner = [-1] * (g.n + 1)
+    local = [0] * (g.n + 1)
+    for index, part in enumerate(parts):
+        for label, v in enumerate(part, start=1):
+            owner[v] = index
+            local[v] = label
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in parts]
+    for j, (edge, index) in enumerate(zip(g.edges, decomposition.edge_assignment)):
+        if any(owner[v] != index for v in edge):
+            raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")
+        buckets[index].append(tuple(local[v] for v in edge))
+    return [Hypergraph(len(part), g.k, tuple(edges))
+            for part, edges in zip(parts, buckets)]
 
 
-def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL, *,
-                          perron_tol: float = PERRON_TOL,
-                          max_iter: int = MAX_ITER) -> ConnectivityReport:
-    """Compute beta(G) with certificates.
+def _placed(certificate: EigenpairCertificate, part: Sequence[int],
+            n: int) -> EigenpairCertificate:
+    # same residual on the full tensor: the part is closed under edges, so
+    # outside it both the vector and T x^{m-1} vanish
+    vector: list[Number] = [0] * n
+    for v, entry in zip(part, certificate.vector):
+        vector[v - 1] = entry
+    return replace(certificate, vector=tuple(vector))
 
-    The component indicator vectors e_{V_1},...,e_{V_r} are each verified in
-    exact integer arithmetic as 0-eigenvectors of the Laplacian tensor, so
-    beta equals the component count r. Maximality of the basis is certified
-    per component: on each component with edges, the Perron vector of the
-    shifted Laplacian (max-degree shift) is unique and must be parallel to
-    the all-ones vector, which pins the nonnegative null space of that
-    component to one ray. A component whose Perron iteration fails to
-    converge is reported with maximality ``unverified``; beta is unaffected.
+
+def _accepted(certificates: Sequence[EigenpairCertificate]) -> int:
+    return sum(1 for c in certificates if c.accepted)
+
+
+def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityReport:
+    """Compute beta(G), beta_Z(G) and, for a regular input, beta_rho(G),
+    with certificates, in one pass: O(n + k*m) to split the input into
+    components and verify them, O(r*n) to place the r certificates of each
+    set in full-length vectors.
+
+    Each component's indicator is verified in exact arithmetic as a
+    0-eigenvector of that component's own Laplacian (H), its unit-norm
+    rescaling as a Z-eigenvector at 0, and on a d-regular input the
+    indicator as an eigenvector of the component's adjacency tensor at d.
+    Every certificate is then placed in a full-length vector, which keeps
+    its residual because no edge leaves a component. The betas count the
+    accepted certificates, so a rejected one lowers them below the
+    component count.
     """
     decomposition = connected_components(g)
-    parts = decomposition.parts
-    lap = laplacian(g)
-    certificates = tuple(
-        verify_h_eigenpair(lap, 0, _indicator(g.n, part), tol) for part in parts)
-    maximality: list[str] = []
-    runs: list[PerronResult | None] = []
-    for part in parts:
-        if len(part) == 1:
-            maximality.append(TRIVIAL)
-            runs.append(None)
-            continue
-        component, _ = induced(g, part)
-        try:
-            result = perron(shifted_laplacian(component), perron_tol, max_iter)
-        except NoConvergence:
-            maximality.append(UNVERIFIED)
-            runs.append(None)
-            continue
-        parallel = _cosine_with_ones(result.vector) >= 1.0 - tol
-        maximality.append(CERTIFIED if parallel else UNVERIFIED)
-        runs.append(result)
     degree = is_regular(g)
-    r = len(parts)
+    regular = degree is not None
+    h_certs: list[EigenpairCertificate] = []
+    z_certs: list[EigenpairCertificate] = []
+    rho_certs: list[EigenpairCertificate] = []
+    for part, sub in zip(decomposition.parts, _component_graphs(g, decomposition)):
+        ones = (1,) * len(part)
+        lap = laplacian(sub)
+        h_certs.append(_placed(verify_h_eigenpair(lap, 0, ones, tol), part, g.n))
+        z_certs.append(_placed(
+            verify_z_eigenpair(lap, 0, _unit_vector(len(part)), tol), part, g.n))
+        if regular:
+            rho_certs.append(_placed(
+                verify_h_eigenpair(adjacency(sub), degree, ones, tol), part, g.n))
     return ConnectivityReport(
-        component_count=r,
-        beta=r,
-        beta_z=r,
-        beta_rho=r if degree is not None else None,
-        certificates=certificates,
+        component_count=decomposition.count,
+        beta=_accepted(h_certs),
+        beta_z=_accepted(z_certs),
+        beta_rho=_accepted(rho_certs) if regular else None,
+        certificates=tuple(h_certs),
         weakly_irreducible=is_weakly_irreducible(adjacency(g)),
         regular_degree=degree,
-        spectral_radius=None,
+        spectral_radius=degree,
         decomposition=decomposition,
-        maximality=tuple(maximality),
-        perron_runs=tuple(runs),
+        z_certificates=tuple(z_certs),
+        rho_certificates=tuple(rho_certs) if regular else None,
     )
 
 
-def _unit_indicator(n: int, part: Sequence[int]) -> tuple[Number, ...]:
-    # 1/sqrt(|part|) on the part; exact rational when |part| is a square
-    size = len(part)
-    r = isqrt(size)
-    entry: Number = Fraction(1, r) if r * r == size else 1.0 / sqrt(size)
-    members = set(part)
-    return tuple(entry if v in members else 0 for v in range(1, n + 1))
+def z_geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityReport:
+    """The geometry_connectivity report with the unit-norm Z certificates as
+    ``certificates``. They stay exact whenever the component size is a
+    perfect square."""
+    report = geometry_connectivity(g, tol)
+    return replace(report, certificates=report.z_certificates)
 
 
-def z_geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL, *,
-                            perron_tol: float = PERRON_TOL,
-                            max_iter: int = MAX_ITER) -> ConnectivityReport:
-    """Compute beta_Z(G): same indicator basis as geometry_connectivity,
-    rescaled to unit Euclidean norm and re-verified as Z-eigenpairs at 0.
-
-    The two null-vector sets differ only by normalization, so
-    beta_Z = beta = component count. The rescaled certificates stay exact
-    whenever the component size is a perfect square.
-    """
-    report = geometry_connectivity(g, tol, perron_tol=perron_tol, max_iter=max_iter)
-    lap = laplacian(g)
-    certificates = tuple(
-        verify_z_eigenpair(lap, 0, _unit_indicator(g.n, part), tol)
-        for part in report.decomposition.parts)
-    return replace(report, certificates=certificates)
-
-
-def rho_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL, *,
-                     perron_tol: float = PERRON_TOL,
-                     max_iter: int = MAX_ITER) -> ConnectivityReport:
-    """Compute beta_rho(G) for a d-regular hypergraph.
+def rho_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityReport:
+    """The geometry_connectivity report of a d-regular hypergraph with the
+    adjacency certificates at d as ``certificates``.
 
     For a d-regular hypergraph L = d*I - A, so (lambda, x) is an eigenpair
     of A exactly when (d - lambda, x) is one of L; the all-ones vector is a
     positive eigenvector of A at d, which forces the spectral radius to be
-    d. The component indicators are verified exactly as eigenvectors of the
-    adjacency tensor at d, and maximality transfers from the null-space
-    certification of geometry_connectivity. Raises NotRegular otherwise.
+    d. Raises NotRegular otherwise.
     """
-    degree = is_regular(g)
-    if degree is None:
+    report = geometry_connectivity(g, tol)
+    if report.regular_degree is None:
         raise NotRegular("beta_rho is defined for regular hypergraphs only")
-    report = geometry_connectivity(g, tol, perron_tol=perron_tol, max_iter=max_iter)
-    adj = adjacency(g)
-    certificates = tuple(
-        verify_h_eigenpair(adj, degree, _indicator(g.n, part), tol)
-        for part in report.decomposition.parts)
-    return replace(report, certificates=certificates, spectral_radius=degree)
+    return replace(report, certificates=report.rho_certificates)
 
 
 _SIGN_PATTERNS_4 = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))

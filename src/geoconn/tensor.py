@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
-from math import factorial, isfinite
-from typing import Iterable, Mapping, Sequence, Union
+from math import isfinite
+from typing import Mapping, Sequence, Union
 
-from .errors import DimensionError, InvalidSubset, NotNonnegative
-from .hypergraph import Hypergraph, degrees, induced
+from .errors import DimensionError, NotNonnegative
+from .hypergraph import Hypergraph, degrees
 
 Number = Union[int, float, Fraction]
 
@@ -39,7 +38,7 @@ class SparseTensor:
 
     ``entries`` maps index tuples (1-based, length ``order``) to nonzero
     finite values; absent tuples are zero. Explicit zeros are dropped at
-    construction. No symmetry is assumed or enforced; see ``symmetrize``.
+    construction. No symmetry is assumed or enforced.
     """
 
     order: int
@@ -72,34 +71,13 @@ class SparseTensor:
         return all(is_exact_scalar(v) for v in self.entries.values())
 
 
-def identity_tensor(order: int, dim: int) -> SparseTensor:
-    """The identity tensor: entry 1 at every fully repeated index, 0 elsewhere."""
-    return SparseTensor(order, dim, {(i,) * order: 1 for i in range(1, dim + 1)})
-
-
-def symmetrize(t: SparseTensor) -> SparseTensor:
-    """Symmetrize by averaging over all index permutations.
-
-    Exact values stay exact (the averaging weight becomes a Fraction);
-    entries that cancel to zero are dropped.
-    """
-    weight = factorial(t.order)
-    acc: dict[tuple[int, ...], Number] = {}
-    for index, value in t.entries.items():
-        share = Fraction(value, weight) if is_exact_scalar(value) else value / weight
-        for perm in permutations(index):
-            acc[perm] = acc.get(perm, 0) + share
-    return SparseTensor(t.order, t.dim, acc)
-
-
 @dataclass(frozen=True)
 class HypergraphView:
     """Implicit tensor diag(c)*I + sign*A_H backed by a hypergraph H.
 
     The three hypergraph-derived kinds are all of this shape:
     adjacency (c = 0, sign = +1), Laplacian (c = degrees, sign = -1) and
-    shifted Laplacian (c = shift - degrees, sign = +1). The family is closed
-    under index restriction, which keeps subtensors implicit too.
+    shifted Laplacian (c = shift - degrees, sign = +1).
     """
 
     graph: Hypergraph
@@ -227,36 +205,6 @@ def _apply_explicit(t: SparseTensor, xs: list[Number]) -> list[Number]:
             term = term * xs[j - 1]
         out[index[0] - 1] = out[index[0] - 1] + term
     return out
-
-
-def subtensor(view: TensorView, subset: Iterable[int]) -> TensorView:
-    """Restrict all indices to a vertex subset, relabeled to 1..|subset|.
-
-    Hypergraph-derived views stay implicit: the off-diagonal support
-    restricts to the induced sub-hypergraph while the diagonal keeps its
-    original entries. The restriction of a Laplacian view therefore equals
-    the Laplacian of the induced sub-hypergraph exactly when no edge leaves
-    the subset (e.g. when the subset is a union of components).
-    """
-    labels = sorted(set(subset))
-    if not labels:
-        raise InvalidSubset("vertex subset must be nonempty")
-    if labels[0] < 1 or labels[-1] > view.dim:
-        raise InvalidSubset(f"vertex subset contains labels outside 1..{view.dim}")
-    if len(labels) == view.dim:
-        return view
-    if isinstance(view, HypergraphView):
-        sub, _ = induced(view.graph, labels)
-        diag = tuple(view.diagonal[v - 1] for v in labels)
-        return HypergraphView(sub, diag, view.sign, f"{view.kind}[restricted]")
-    keep = set(labels)
-    relabel = {old: new for new, old in enumerate(labels, start=1)}
-    entries = {
-        tuple(relabel[i] for i in index): value
-        for index, value in view.tensor.entries.items()
-        if all(i in keep for i in index)
-    }
-    return ExplicitView(SparseTensor(view.order, len(labels), entries))
 
 
 def support_digraph(view: TensorView) -> dict[int, tuple[int, ...]]:

@@ -235,6 +235,34 @@ def test_report_disconnected_has_no_perron_block(tmp_path, capsys):
     assert document["components"] == [[1, 2, 3], [4, 5, 6], [7]]
 
 
+def test_report_perron_block_matches_the_power_iteration(tmp_path, capsys, monkeypatch):
+    # the report states the shifted Laplacian's Perron pair in closed form
+    path = write(tmp_path, "g.hg", "3 6 3\n1 2 3\n3 4 5\n2 5 6\n")
+    assert run(["perron", path, "--tensor", "laplacian-shifted", "--format", "json"]) == EXIT_OK
+    solved = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr("geoconn.spectral.perron", None)
+    monkeypatch.setattr("geoconn.cli.perron", None)
+    assert run(["report", path]) == EXIT_OK
+    block = json.loads(capsys.readouterr().out)["perron"]
+    assert float(block["rho"]) == float(solved["rho"]) == 2.0
+    assert block["vector"] == solved["vector"] == ["1.0"] * 6
+
+
+def test_report_rejected_perron_pair_exits_1(tmp_path, capsys, monkeypatch):
+    from geoconn import apply
+
+    def perturbed(view, x):
+        out = apply(view, x)
+        if view.kind == "shifted_laplacian":
+            out[0] += 1
+        return out
+
+    path = write(tmp_path, "g.hg", SINGLE_EDGE)
+    monkeypatch.setattr("geoconn.spectral.apply", perturbed)
+    assert run(["report", path]) == EXIT_MISMATCH
+    assert json.loads(capsys.readouterr().out)["perron"] is None
+
+
 def test_out_writes_file(tmp_path, capsys):
     g = write(tmp_path, "g.hg", SINGLE_EDGE)
     target = tmp_path / "report.json"
@@ -247,5 +275,10 @@ def test_out_writes_file(tmp_path, capsys):
 def test_bad_usage_raises_system_exit():
     with pytest.raises(SystemExit):
         run(["perron", "x.hg", "--tensor", "bogus"])
+    # each subcommand accepts only the flags it reads
+    for argv in (["check", "x.hg", "--format", "json"], ["report", "x.hg", "--max-iter", "5"],
+                 ["components", "x.hg", "--tol", "0.1"], ["beta", "x.hg", "--max-iter", "5"]):
+        with pytest.raises(SystemExit):
+            run(argv)
     with pytest.raises(SystemExit):
         run([])

@@ -7,15 +7,19 @@ from fractions import Fraction
 import pytest
 
 from geoconn import (
+    ComponentDecomposition,
     DimensionError,
     NoConvergence,
     NotIrreducible,
     NotRegular,
     ZeroVector,
     adjacency,
+    apply,
+    connected_components,
     construct,
     degrees,
     geometry_connectivity,
+    induced,
     laplacian,
     perron,
     rho_connectivity,
@@ -25,6 +29,7 @@ from geoconn import (
     verify_z_eigenpair,
     z_geometry_connectivity,
 )
+from geoconn.cli import EXIT_MISMATCH, run
 
 from generators import (
     connected_hypergraph,
@@ -179,8 +184,6 @@ def test_geometry_connectivity_single_edge():
     assert report.beta_rho == 1
     assert report.weakly_irreducible
     assert report.regular_degree == 1
-    assert report.maximality == ("certified",)
-    assert report.maximality_certified
     cert = report.certificates[0]
     assert cert.vector == (1, 1, 1, 1)
     assert cert.variant == "H"
@@ -197,7 +200,6 @@ def test_geometry_connectivity_counts_and_certifies():
         for part, cert in zip(report.decomposition.parts, report.certificates):
             assert cert.accepted and cert.exact and cert.residual == 0
             assert sum(cert.vector) == len(part)
-        assert report.maximality_certified
         assert report.beta_rho == (report.beta if report.regular_degree is not None
                                    else None)
 
@@ -205,9 +207,56 @@ def test_geometry_connectivity_counts_and_certifies():
 def test_geometry_connectivity_singletons_are_trivial():
     g = construct(5, 3, [(1, 2, 3)])
     report = geometry_connectivity(g)
-    assert report.maximality == ("certified", "trivial", "trivial")
-    assert report.perron_runs[1] is None
-    assert report.perron_runs[0] is not None
+    assert report.beta == report.beta_z == 3
+    assert [c.vector for c in report.certificates] == [
+        (1, 1, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+    for cert in report.certificates[1:] + report.z_certificates[1:]:
+        assert cert.exact and cert.residual == 0
+
+
+def test_restriction_to_a_component_keeps_the_residual():
+    # the per-component certificates rest on this: a vector supported on a
+    # component has the same residual against the component's Laplacian
+    rng = random.Random(707)
+    for _ in range(60):
+        g = random_hypergraph(rng, max_n=9, max_m=10)
+        part = rng.choice(connected_components(g).parts)
+        sub, _ = induced(g, part)
+        restricted = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in part]
+        restricted[0] = restricted[0] or 1
+        full = [0] * g.n
+        for v, entry in zip(part, restricted):
+            full[v - 1] = entry
+        lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        whole = verify_h_eigenpair(laplacian(g), lam, full)
+        alone = verify_h_eigenpair(laplacian(sub), lam, restricted)
+        assert whole.exact and alone.exact
+        assert whole.residual == alone.residual
+
+
+def test_rejected_certificate_lowers_beta_and_fails_check(monkeypatch, tmp_path, capsys):
+    def perturbed(view, x):
+        out = apply(view, x)
+        out[0] += 1
+        return out
+
+    g = construct(7, 3, [(1, 2, 3), (4, 5, 6)])
+    monkeypatch.setattr("geoconn.spectral.apply", perturbed)
+    report = geometry_connectivity(g)
+    assert report.beta < report.component_count
+    assert report.beta_z < report.component_count
+    path = tmp_path / "g.hg"
+    path.write_text("3 7 2\n1 2 3\n4 5 6\n")
+    assert run(["check", str(path)]) == EXIT_MISMATCH
+    assert "MISMATCH: beta equals component count" in capsys.readouterr().out.splitlines()
+
+
+def test_edge_leaving_its_part_is_refused(monkeypatch):
+    g = construct(4, 3, [(1, 2, 3)])
+    cut = ComponentDecomposition(((1, 4), (2, 3)), (1,))
+    monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: cut)
+    with pytest.raises(ValueError, match="edge 0"):
+        geometry_connectivity(g)
 
 
 def test_z_connectivity_exact_on_perfect_square_components():

@@ -15,14 +15,10 @@ from geoconn import (
     construct,
     degrees,
     explicit,
-    identity_tensor,
-    induced,
     is_weakly_irreducible,
     laplacian,
     shifted_laplacian,
-    subtensor,
     support_digraph,
-    symmetrize,
 )
 from geoconn.tensor import strongly_connected_components
 
@@ -50,20 +46,6 @@ def test_sparse_tensor_drops_zeros_and_tracks_exactness():
     assert not SparseTensor(2, 2, {(1, 1): 0.5}).is_exact
     with pytest.raises(ValueError):
         SparseTensor(2, 2, {(1, 1): float("nan")})
-
-
-def test_identity_tensor_applies_as_entrywise_power():
-    view = explicit(identity_tensor(4, 3))
-    assert apply(view, [2, -1, 3]) == [8, -1, 27]
-
-
-def test_symmetrize_averages_over_permutations():
-    t = SparseTensor(3, 2, {(1, 1, 2): 1})
-    s = symmetrize(t)
-    expected = Fraction(1, 3)
-    assert s.entries == {(1, 1, 2): expected, (1, 2, 1): expected,
-                         (2, 1, 1): expected}
-    assert s.is_exact
 
 
 def test_adjacency_apply_frozen_value():
@@ -148,46 +130,6 @@ def test_shifted_laplacian_default_shift_is_max_degree():
     # (shift*I - L) 1 = shift - d + d on every vertex
     assert apply(shifted_laplacian(g), ones) == [2, 2, 2, 2]
     assert apply(shifted_laplacian(g, 5), ones) == [5, 5, 5, 5]
-
-
-def test_subtensor_full_subset_is_identity():
-    g = construct(4, 3, [(1, 2, 3)])
-    view = laplacian(g)
-    assert subtensor(view, [1, 2, 3, 4]) is view
-
-
-def test_subtensor_keeps_original_diagonal():
-    # L restricted to a subset keeps the parent degrees on the diagonal
-    g = construct(5, 2, [(1, 2), (2, 3), (3, 4), (4, 5)])
-    sub = subtensor(laplacian(g), [1, 2, 3])
-    # vertex 3 has degree 2 in g though only one edge survives
-    assert apply(sub, [1, 1, 1]) == [1 - 1, 2 - 2, 2 - 1]
-
-
-def test_subtensor_on_component_union_equals_induced_laplacian():
-    rng = random.Random(707)
-    for _ in range(60):
-        g = random_hypergraph(rng, max_n=9, max_m=10)
-        parts = connected_components(g).parts
-        if len(parts) < 2:
-            continue
-        take = [v for part in parts[:2] for v in part]
-        sub = subtensor(laplacian(g), take)
-        fresh = laplacian(induced(g, take)[0])
-        x = random_exact_vector(rng, len(take))
-        assert apply(sub, x) == apply(fresh, x)
-
-
-def test_subtensor_of_explicit_matches_implicit():
-    rng = random.Random(808)
-    for _ in range(30):
-        g = random_hypergraph(rng, max_n=6, max_m=6)
-        take = sorted(rng.sample(range(1, g.n + 1), rng.randint(1, g.n)))
-        implicit = subtensor(laplacian(g), take)
-        dense = explicit(SparseTensor(g.k, g.n, laplacian_entries(g)))
-        sliced = subtensor(dense, take)
-        x = random_exact_vector(rng, len(take))
-        assert apply(sliced, x) == apply(implicit, x)
 
 
 def test_support_digraph_of_adjacency():
