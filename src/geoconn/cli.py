@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import inf, nan
 from typing import Iterator, Sequence, TextIO
 
 from .errors import (
@@ -40,14 +41,15 @@ from .spectral import (
     verify_h_eigenpair,
     verify_z_eigenpair,
 )
-from .tensor import Number, TensorView, adjacency, laplacian, shifted_laplacian
+from .tensor import Number, adjacency, laplacian, shifted_laplacian
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
-TENSOR_CHOICES = ("adjacency", "laplacian", "laplacian-shifted")
+TENSOR_VIEWS = {"adjacency": adjacency, "laplacian": laplacian,
+                "laplacian-shifted": shifted_laplacian}
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -230,14 +232,6 @@ def _emit(text: str, out: str | None) -> None:
         raise IoError(f"cannot write {out}: {exc}") from exc
 
 
-def _tensor_view(g: Hypergraph, name: str) -> TensorView:
-    if name == "adjacency":
-        return adjacency(g)
-    if name == "laplacian":
-        return laplacian(g)
-    return shifted_laplacian(g)
-
-
 def _union_find_count(g: Hypergraph) -> int:
     # independent of the BFS decomposition used everywhere else
     parent = list(range(g.n + 1))
@@ -300,8 +294,7 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 def _cmd_perron(args: argparse.Namespace) -> int:
     g = load_hypergraph(args.hypergraph)
-    view = _tensor_view(g, args.tensor)
-    result = perron(view, tol=args.tol, max_iter=args.max_iter)
+    result = perron(TENSOR_VIEWS[args.tensor](g), tol=args.tol, max_iter=args.max_iter)
     if args.format == "json":
         document = {
             "rho": _decimal(result.rho),
@@ -324,7 +317,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = load_hypergraph(args.hypergraph)
     x = load_vector(args.vector)
     lam = parse_scalar(args.lam)
-    view = _tensor_view(g, args.tensor)
+    view = TENSOR_VIEWS[args.tensor](g)
     if args.z:
         certificate = verify_z_eigenpair(view, lam, x, tol=args.tol)
     else:
@@ -375,13 +368,26 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to a file")
 
 
+def _at_least(parse, low: int, what: str):
+    """An argparse type requiring low <= parse(text) < inf; nan fails too."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = nan
+        if not low <= value < inf:
+            raise argparse.ArgumentTypeError(f"expected {what} >= {low}, got {text!r}")
+        return value
+    return convert
+
+
 def _add_tol(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="acceptance tolerance (default 1e-9)")
+    sub.add_argument("--tol", type=_at_least(float, 0, "a finite number"),
+                     default=DEFAULT_TOL, help="acceptance tolerance (default 1e-9)")
 
 
 def _add_max_iter(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-iter", type=int, default=MAX_ITER,
+    sub.add_argument("--max-iter", type=_at_least(int, 1, "an integer"), default=MAX_ITER,
                      help="power iteration cap (default 10000)")
 
 
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol(sub)
     _add_max_iter(sub)
     _add_format(sub)
-    sub.add_argument("--tensor", choices=TENSOR_CHOICES, default="adjacency",
+    sub.add_argument("--tensor", choices=TENSOR_VIEWS, default="adjacency",
                      help="tensor to iterate on (default adjacency)")
 
     sub = commands.add_parser("verify", help="check a candidate eigenpair")
@@ -422,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="vector file, one number per line")
     sub.add_argument("--lambda", dest="lam", required=True,
                      help="candidate eigenvalue (int, p/q or decimal)")
-    sub.add_argument("--tensor", choices=TENSOR_CHOICES, default="laplacian",
+    sub.add_argument("--tensor", choices=TENSOR_VIEWS, default="laplacian",
                      help="tensor to verify against (default laplacian)")
     sub.add_argument("--z", action="store_true", help="check as a Z-eigenpair")
 

@@ -101,8 +101,6 @@ class ConnectivityReport:
     ``rho_certificates`` (regular input only, otherwise None) the indicators
     as H-eigenvectors of the adjacency tensor at the degree. ``beta``,
     ``beta_z`` and ``beta_rho`` count the accepted certificates of each set.
-    ``spectral_radius`` is the adjacency spectral radius of a regular input,
-    its degree, and None otherwise.
     """
 
     component_count: int
@@ -112,7 +110,6 @@ class ConnectivityReport:
     certificates: tuple[EigenpairCertificate, ...]
     weakly_irreducible: bool
     regular_degree: int | None
-    spectral_radius: Number | None
     decomposition: ComponentDecomposition = field(repr=False)
     z_certificates: tuple[EigenpairCertificate, ...] = field(repr=False)
     rho_certificates: tuple[EigenpairCertificate, ...] | None = field(repr=False)
@@ -318,9 +315,8 @@ def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connectivi
         beta_z=_accepted(z_certs),
         beta_rho=_accepted(rho_certs) if regular else None,
         certificates=tuple(h_certs),
-        weakly_irreducible=is_weakly_irreducible(adjacency(g)),
+        weakly_irreducible=decomposition.count == 1,  # see is_weakly_irreducible
         regular_degree=degree,
-        spectral_radius=degree,
         decomposition=decomposition,
         z_certificates=tuple(z_certs),
         rho_certificates=tuple(rho_certs) if regular else None,

@@ -52,6 +52,15 @@ def laplacian_entries(g: Hypergraph) -> dict[tuple[int, ...], Fraction]:
     return {index: value for index, value in entries.items() if value != 0}
 
 
+def shifted_laplacian_entries(g: Hypergraph, shift: int) -> dict[tuple[int, ...], Fraction]:
+    """shift*I - L_G from the Laplacian entries: shift on the diagonal plus
+    the negated Laplacian."""
+    entries = {index: -value for index, value in laplacian_entries(g).items()}
+    for v in range(1, g.n + 1):
+        entries[(v,) * g.k] = shift + entries.get((v,) * g.k, Fraction(0))
+    return {index: value for index, value in entries.items() if value != 0}
+
+
 def dense_apply(entries: dict[tuple[int, ...], Fraction], dim: int, x) -> list:
     """Brute-force (T x^{m-1})_i by summing over the stored entries."""
     out = [0] * dim

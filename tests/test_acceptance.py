@@ -94,10 +94,16 @@ def test_acceptance_3_weak_irreducibility_iff_connected():
     mismatches = sum(
         1 for g in SUITE
         if is_weakly_irreducible(adjacency(g)) != (connected_components(g).count == 1))
-    ok = mismatches == 0
-    _line(3, ok, f"weak irreducibility of the adjacency tensor matches "
-          f"connectivity on all {len(SUITE)} instances")
-    assert ok
+    # Tarjan on the materialized tensor, independent of the BFS
+    tarjan_mismatches = sum(
+        1 for g in SUITE
+        if is_weakly_irreducible(explicit(SparseTensor(g.k, g.n, adjacency_entries(g))))
+        != (union_find_components(g) == 1))
+    ok = mismatches == tarjan_mismatches == 0
+    _line(3, ok, f"weak irreducibility of the adjacency tensor, implicit and "
+          f"materialized, matches connectivity on all {len(SUITE)} instances")
+    assert mismatches == 0
+    assert tarjan_mismatches == 0
 
 
 def test_acceptance_4_perron_on_regular_adjacency_recovers_degree():

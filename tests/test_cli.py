@@ -178,6 +178,8 @@ def test_perron_error_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "p3.hg", "2 3 2\n1 2\n2 3\n")
     assert run(["perron", path, "--max-iter", "1"]) == EXIT_NO_CONVERGENCE
     capsys.readouterr()
+    assert run(["perron", path, "--tensor", "laplacian"]) == EXIT_INPUT
+    assert "negative off-diagonal entries" in capsys.readouterr().err
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
@@ -272,7 +274,7 @@ def test_out_writes_file(tmp_path, capsys):
     assert document["beta"] == 1
 
 
-def test_bad_usage_raises_system_exit():
+def test_bad_usage_raises_system_exit(capsys):
     with pytest.raises(SystemExit):
         run(["perron", "x.hg", "--tensor", "bogus"])
     # each subcommand accepts only the flags it reads
@@ -280,5 +282,14 @@ def test_bad_usage_raises_system_exit():
                  ["components", "x.hg", "--tol", "0.1"], ["beta", "x.hg", "--max-iter", "5"]):
         with pytest.raises(SystemExit):
             run(argv)
+    # a tolerance must be finite and >= 0, an iteration cap >= 1
+    for argv in (["check", "x.hg", "--tol", "nan"], ["check", "x.hg", "--tol", "-1"],
+                 ["beta", "x.hg", "--tol", "inf"], ["report", "x.hg", "--tol", "x"],
+                 ["perron", "x.hg", "--max-iter", "0"], ["perron", "x.hg", "--max-iter", "-5"],
+                 ["perron", "x.hg", "--max-iter", "2.5"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[2]}" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run([])

@@ -296,7 +296,7 @@ def test_rho_connectivity_regular_cases():
         g, degree = regular_connected_hypergraph(rng)
         report = rho_connectivity(g)
         assert report.beta_rho == 1
-        assert report.spectral_radius == degree
+        assert report.regular_degree == degree
         cert = report.certificates[0]
         assert cert.eigenvalue == degree
         assert cert.accepted and cert.exact and cert.residual == 0
@@ -307,7 +307,7 @@ def test_rho_connectivity_disconnected_regular():
     g = construct(6, 2, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     report = rho_connectivity(g)
     assert report.beta_rho == 2
-    assert report.spectral_radius == 2
+    assert report.regular_degree == 2
     for cert in report.certificates:
         assert cert.eigenvalue == 2 and cert.residual == 0
 

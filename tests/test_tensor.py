@@ -11,7 +11,6 @@ from geoconn import (
     SparseTensor,
     adjacency,
     apply,
-    connected_components,
     construct,
     degrees,
     explicit,
@@ -23,7 +22,13 @@ from geoconn import (
 from geoconn.tensor import strongly_connected_components
 
 from generators import connected_hypergraph, random_hypergraph
-from oracles import adjacency_entries, dense_apply, laplacian_entries
+from oracles import (
+    adjacency_entries,
+    dense_apply,
+    laplacian_entries,
+    shifted_laplacian_entries,
+    union_find_components,
+)
 
 
 def random_exact_vector(rng, n):
@@ -134,26 +139,35 @@ def test_shifted_laplacian_default_shift_is_max_degree():
 
 def test_support_digraph_of_adjacency():
     g = construct(4, 3, [(1, 2, 3)])
-    graph = support_digraph(adjacency(g))
+    graph = support_digraph(SparseTensor(g.k, g.n, adjacency_entries(g)))
     assert graph == {1: (2, 3), 2: (1, 3), 3: (1, 2), 4: ()}
 
 
 def test_support_digraph_shifted_laplacian_adds_self_loops():
     g = construct(3, 2, [(1, 2), (2, 3)])
-    graph = support_digraph(shifted_laplacian(g))
+    entries = shifted_laplacian_entries(g, 2)
+    assert dense_apply(entries, g.n, [1, 2, 3]) == apply(shifted_laplacian(g), [1, 2, 3])
+    graph = support_digraph(SparseTensor(g.k, g.n, entries))
     # vertices 1 and 3 have degree 1 < shift 2, so they carry self-loops
     assert 1 in graph[1] and 3 in graph[3]
     assert 2 not in graph[2]
 
 
 def test_support_digraph_rejects_negative_tensors():
+    with pytest.raises(NotNonnegative):
+        support_digraph(SparseTensor(2, 2, {(1, 2): -1}))
+    with pytest.raises(NotNonnegative):
+        is_weakly_irreducible(explicit(SparseTensor(2, 2, {(1, 2): -1})))
+    # hypergraph views are checked structurally, without a digraph
     g = construct(3, 2, [(1, 2)])
-    with pytest.raises(NotNonnegative):
-        support_digraph(laplacian(g))
-    with pytest.raises(NotNonnegative):
-        support_digraph(explicit(SparseTensor(2, 2, {(1, 2): -1})))
+    with pytest.raises(NotNonnegative, match="negative off-diagonal entries"):
+        is_weakly_irreducible(laplacian(g))
+    with pytest.raises(NotNonnegative, match="diagonal entry at vertex 1 is negative"):
+        is_weakly_irreducible(shifted_laplacian(g, max(degrees(g)) - 1))
     # laplacian of an edgeless hypergraph is the zero tensor: fine
-    assert support_digraph(laplacian(construct(2, 2, []))) == {1: (), 2: ()}
+    edgeless = construct(2, 2, [])
+    assert support_digraph(SparseTensor(2, 2, laplacian_entries(edgeless))) == {1: (), 2: ()}
+    assert is_weakly_irreducible(laplacian(edgeless)) is False
 
 
 def test_strongly_connected_components_knowns():
@@ -172,11 +186,15 @@ def test_strongly_connected_components_is_iterative():
 
 
 def test_weak_irreducibility_matches_connectivity():
+    # the BFS verdict on hypergraph views against Tarjan on their materializations
     rng = random.Random(909)
-    for _ in range(200):
-        g = random_hypergraph(rng)
-        expected = connected_components(g).count == 1
-        assert is_weakly_irreducible(adjacency(g)) == expected
-    for _ in range(50):
-        g = connected_hypergraph(rng)
-        assert is_weakly_irreducible(adjacency(g))
+    graphs = [random_hypergraph(rng) for _ in range(200)]
+    graphs += [connected_hypergraph(rng) for _ in range(50)]
+    for g in graphs:
+        expected = union_find_components(g) == 1
+        views = ((adjacency(g), adjacency_entries(g)),
+                 (shifted_laplacian(g), shifted_laplacian_entries(g, max(degrees(g)))))
+        for view, entries in views:
+            assert is_weakly_irreducible(view) == expected
+            assert is_weakly_irreducible(explicit(SparseTensor(g.k, g.n, entries))) == expected
+    assert all(is_weakly_irreducible(adjacency(g)) for g in graphs[200:])
