@@ -19,16 +19,7 @@ from fractions import Fraction
 from math import inf, nan
 from typing import Iterator, Sequence, TextIO
 
-from .errors import (
-    EdgeError,
-    GeoconnError,
-    IoError,
-    NoConvergence,
-    NotIrreducible,
-    NotNonnegative,
-    NotRegular,
-    ParseError,
-)
+from .errors import EdgeError, GeoconnError, IoError, NoConvergence, ParseError
 from .hypergraph import Hypergraph, connected_components, construct, degrees
 from .spectral import (
     DEFAULT_TOL,
@@ -168,9 +159,20 @@ def _decimal(value: Number) -> str:
     return repr(value)
 
 
-def _certificate_document(certificate: EigenpairCertificate) -> dict:
+def _printed_vector(certificate: EigenpairCertificate, part: Sequence[int],
+                    n: int) -> list[str]:
+    """The certificate's vector, whose entries belong to the vertices of
+    ``part`` in order, as n decimals with "0" on every other vertex."""
+    entries = ["0"] * n
+    for v, entry in zip(part, certificate.vector):
+        entries[v - 1] = _decimal(entry)
+    return entries
+
+
+def _certificate_document(certificate: EigenpairCertificate, part: Sequence[int],
+                          n: int) -> dict:
     return {
-        "vector": [_decimal(v) for v in certificate.vector],
+        "vector": _printed_vector(certificate, part, n),
         "lambda": _decimal(certificate.eigenvalue),
         "variant": certificate.variant,
         "residual": _decimal(certificate.residual),
@@ -178,42 +180,43 @@ def _certificate_document(certificate: EigenpairCertificate) -> dict:
     }
 
 
-def _perron_block(g: Hypergraph) -> dict | None:
+def _perron_block(g: Hypergraph, certificate: EigenpairCertificate) -> dict | None:
     """The Perron pair of the shifted Laplacian s*I - L_G of a connected
-    input with edges, s the maximum degree, or None when it is rejected.
+    input with edges, s the maximum degree, restated from the H certificate
+    (0, all-ones) of L_G; None when that certificate's residual is not 0.
 
-    The pair is (s, all-ones) in closed form: L_G 1 = 0, and a weakly
-    irreducible nonnegative tensor has a unique positive eigenvector up to
-    scale (Friedland, Gaubert and Han). It is checked by one application of
-    the tensor, the step at which ``perron`` stops on this tensor.
+    The pair is (s, all-ones): (s*I - L_G) 1 - s 1 = -L_G 1, so it has the
+    certificate's exact residual, and a weakly irreducible nonnegative
+    tensor has a unique positive eigenvector up to scale (Friedland, Gaubert
+    and Han). ``perron`` stops at this pair after one step.
     """
-    shift = max(degrees(g))
-    pair = verify_h_eigenpair(shifted_laplacian(g, shift), float(shift), (1.0,) * g.n,
-                              PERRON_TOL)
-    if not pair.accepted:
+    if certificate.residual != 0:
         return None
     return {
-        "rho": _decimal(pair.eigenvalue),
-        "vector": [_decimal(v) for v in pair.vector],
+        "rho": _decimal(float(max(degrees(g)))),
+        "vector": [_decimal(float(v)) for v in certificate.vector],
         "iterations": 1,
-        "tolerance": _decimal(pair.tol),
+        "tolerance": _decimal(PERRON_TOL),
     }
 
 
 def _report_document(g: Hypergraph, source: str, report: ConnectivityReport) -> dict:
     connected = report.component_count == 1
+    parts = report.decomposition.parts
     return {
         "schema_version": "1",
         "input": {"k": g.k, "n": g.n, "m": g.m, "source": source},
-        "components": [list(part) for part in report.decomposition.parts],
+        "components": [list(part) for part in parts],
         "beta": report.beta,
         "beta_z": report.beta_z,
         "beta_rho": report.beta_rho,
         "connected": connected,
         "weakly_irreducible": report.weakly_irreducible,
         "regular_degree": report.regular_degree,
-        "certificates": [_certificate_document(c) for c in report.certificates],
-        "perron": _perron_block(g) if connected and g.n > 1 else None,
+        "certificates": [_certificate_document(c, part, g.n)
+                         for c, part in zip(report.certificates, parts)],
+        "perron": (_perron_block(g, report.certificates[0])
+                   if connected and g.n > 1 else None),
     }
 
 
@@ -273,23 +276,23 @@ def _cmd_beta(args: argparse.Namespace) -> int:
         label, value, certificates = "beta_z", report.beta_z, report.z_certificates
     else:
         label, value, certificates = "beta", report.beta, report.certificates
-    if not all(c.accepted for c in certificates):
-        return EXIT_MISMATCH
+    parts = report.decomposition.parts
     if args.format == "json":
         document = {
             label: value,
-            "certificates": [_certificate_document(c) for c in certificates],
+            "certificates": [_certificate_document(c, part, g.n)
+                             for c, part in zip(certificates, parts)],
         }
         _emit(json.dumps(document, indent=2), args.out)
     else:
         lines = [f"{label} = {value}"]
-        for number, cert in enumerate(certificates, start=1):
-            entries = ", ".join(_decimal(v) for v in cert.vector)
+        for number, (cert, part) in enumerate(zip(certificates, parts), start=1):
+            entries = ", ".join(_printed_vector(cert, part, g.n))
             suffix = " (exact)" if cert.exact else ""
             lines.append(f"certificate {number}: ({entries}) "
                          f"residual {_decimal(cert.residual)}{suffix}")
         _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH
 
 
 def _cmd_perron(args: argparse.Namespace) -> int:
@@ -324,7 +327,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         certificate = verify_h_eigenpair(view, lam, x, tol=args.tol)
     verdict = "ACCEPTED" if certificate.accepted else "REJECTED"
     if args.format == "json":
-        document = _certificate_document(certificate)
+        document = _certificate_document(certificate, g.vertices(), g.n)
         document["accepted"] = certificate.accepted
         _emit(json.dumps(document, indent=2), args.out)
     else:
@@ -356,11 +359,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     g = load_hypergraph(args.hypergraph)
-    # the analysis is released before rendering, the memory peak of a report
-    document = _report_document(g, args.hypergraph, geometry_connectivity(g, tol=args.tol))
-    _emit(json.dumps(document, indent=2), args.out)
-    rejected = document["connected"] and g.n > 1 and document["perron"] is None
-    return EXIT_MISMATCH if rejected else EXIT_OK
+    report = geometry_connectivity(g, tol=args.tol)
+    _emit(json.dumps(_report_document(g, args.hypergraph, report), indent=2), args.out)
+    certificates = (report.certificates + report.z_certificates
+                    + (report.rho_certificates or ()))
+    return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -459,9 +462,6 @@ def run(argv: Sequence[str] | None = None, *, stderr: TextIO | None = None) -> i
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, IoError, NotIrreducible, NotNonnegative, NotRegular) as exc:
-        print(f"geoconn: error: {exc}", file=stderr)
-        return EXIT_INPUT
     except NoConvergence as exc:
         print(f"geoconn: error: {exc}", file=stderr)
         return EXIT_NO_CONVERGENCE

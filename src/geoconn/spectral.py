@@ -43,7 +43,6 @@ from .hypergraph import (
 from .tensor import (
     Number,
     TensorView,
-    adjacency,
     apply,
     is_exact_scalar,
     is_weakly_irreducible,
@@ -95,12 +94,18 @@ class ConnectivityReport:
     """Everything the connectivity analysis certifies about one hypergraph.
 
     Each certificate set holds one eigenpair per component, in component
-    order, verified on the component and placed in a full-length vector:
-    ``certificates`` the indicators as H-eigenvectors of the Laplacian at 0,
+    order, as it was verified on the component: the vector of the c-th
+    certificate has one entry per vertex of ``decomposition.parts[c]``, in
+    that order, and vanishes on every other vertex. ``certificates`` holds
+    the indicators as H-eigenvectors of the Laplacian at 0,
     ``z_certificates`` the unit-norm indicators as Z-eigenvectors at 0, and
     ``rho_certificates`` (regular input only, otherwise None) the indicators
-    as H-eigenvectors of the adjacency tensor at the degree. ``beta``,
-    ``beta_z`` and ``beta_rho`` count the accepted certificates of each set.
+    as H-eigenvectors of the adjacency tensor at the degree d, restated from
+    ``certificates``: L = d*I - A gives A*1 - d*1 = -L*1, so the exact
+    residual is the same. ``beta``, ``beta_z`` and ``beta_rho`` count the
+    accepted certificates of each set. The report takes O(n + k*m) memory
+    for any number of components; only output that pads every vector to
+    length n is O(r*n).
     """
 
     component_count: int
@@ -265,50 +270,34 @@ def _component_graphs(g: Hypergraph,
             for part, edges in zip(parts, buckets)]
 
 
-def _placed(certificate: EigenpairCertificate, part: Sequence[int],
-            n: int) -> EigenpairCertificate:
-    # same residual on the full tensor: the part is closed under edges, so
-    # outside it both the vector and T x^{m-1} vanish
-    vector: list[Number] = [0] * n
-    for v, entry in zip(part, certificate.vector):
-        vector[v - 1] = entry
-    return replace(certificate, vector=tuple(vector))
-
-
 def _accepted(certificates: Sequence[EigenpairCertificate]) -> int:
     return sum(1 for c in certificates if c.accepted)
 
 
 def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityReport:
     """Compute beta(G), beta_Z(G) and, for a regular input, beta_rho(G),
-    with certificates, in one pass: O(n + k*m) to split the input into
-    components and verify them, O(r*n) to place the r certificates of each
-    set in full-length vectors.
+    with certificates, in one O(n + k*m) pass.
 
     Each component's indicator is verified in exact arithmetic as a
-    0-eigenvector of that component's own Laplacian (H), its unit-norm
-    rescaling as a Z-eigenvector at 0, and on a d-regular input the
-    indicator as an eigenvector of the component's adjacency tensor at d.
-    Every certificate is then placed in a full-length vector, which keeps
-    its residual because no edge leaves a component. The betas count the
-    accepted certificates, so a rejected one lowers them below the
-    component count.
+    0-eigenvector of that component's own Laplacian (H), and its unit-norm
+    rescaling as a Z-eigenvector at 0. On a d-regular input the H
+    certificates restate as eigenpairs of the adjacency tensor at d. The
+    vectors stay local to their components; a vector padded with zeros to
+    length n keeps its residual, because no edge leaves a component. The
+    betas count the accepted certificates, so a rejected one lowers them
+    below the component count.
     """
     decomposition = connected_components(g)
     degree = is_regular(g)
     regular = degree is not None
     h_certs: list[EigenpairCertificate] = []
     z_certs: list[EigenpairCertificate] = []
-    rho_certs: list[EigenpairCertificate] = []
     for part, sub in zip(decomposition.parts, _component_graphs(g, decomposition)):
-        ones = (1,) * len(part)
         lap = laplacian(sub)
-        h_certs.append(_placed(verify_h_eigenpair(lap, 0, ones, tol), part, g.n))
-        z_certs.append(_placed(
-            verify_z_eigenpair(lap, 0, _unit_vector(len(part)), tol), part, g.n))
-        if regular:
-            rho_certs.append(_placed(
-                verify_h_eigenpair(adjacency(sub), degree, ones, tol), part, g.n))
+        h_certs.append(verify_h_eigenpair(lap, 0, (1,) * len(part), tol))
+        z_certs.append(verify_z_eigenpair(lap, 0, _unit_vector(len(part)), tol))
+    # L = d*I - A on a d-regular input, so A*1 - d*1 = -L*1: the same residual
+    rho_certs = tuple(replace(h, eigenvalue=degree) for h in h_certs) if regular else None
     return ConnectivityReport(
         component_count=decomposition.count,
         beta=_accepted(h_certs),
@@ -319,7 +308,7 @@ def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connectivi
         regular_degree=degree,
         decomposition=decomposition,
         z_certificates=tuple(z_certs),
-        rho_certificates=tuple(rho_certs) if regular else None,
+        rho_certificates=rho_certs,
     )
 
 
@@ -333,7 +322,8 @@ def z_geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connecti
 
 def rho_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityReport:
     """The geometry_connectivity report of a d-regular hypergraph with the
-    adjacency certificates at d as ``certificates``.
+    adjacency certificates at d as ``certificates``, component-local like
+    the others.
 
     For a d-regular hypergraph L = d*I - A, so (lambda, x) is an eigenpair
     of A exactly when (d - lambda, x) is one of L; the all-ones vector is a

@@ -1,6 +1,9 @@
 """File formats, argument handling and exit codes of the command line."""
 
 import json
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from geoconn.cli import (
 SINGLE_EDGE = "4 4 1\n1 2 3 4\n"
 TWO_COMPONENTS = "3 7 2\n1 2 3\n4 5 6\n"
 CYCLE = "2 4 4\n1 2\n2 3\n3 4\n1 4\n"
+TIGHT_CYCLE = "3 5 5\n1 2 3\n2 3 4\n3 4 5\n4 5 1\n5 1 2\n"
 
 
 def write(tmp_path, name, text):
@@ -182,6 +186,36 @@ def test_perron_error_exit_codes(tmp_path, capsys):
     assert "negative off-diagonal entries" in capsys.readouterr().err
 
 
+def test_beta_prints_rejected_certificates_then_exits_1(tmp_path, capsys):
+    # the Z certificate of a 5-vertex component is a float, so --tol 0 rejects it
+    path = write(tmp_path, "g.hg", TIGHT_CYCLE)
+    assert run(["beta", path, "--z", "--tol", "0"]) == EXIT_MISMATCH
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "beta_z = 0"
+    assert out[1].startswith("certificate 1: (0.4472135954999579, ")
+    assert run(["beta", path, "--z", "--tol", "0", "--format", "json"]) == EXIT_MISMATCH
+    document = json.loads(capsys.readouterr().out)
+    assert document["beta_z"] == 0
+    assert len(document["certificates"][0]["vector"]) == 5
+    assert float(document["certificates"][0]["residual"]) > 0
+
+
+def test_check_on_many_isolated_vertices_stays_small(tmp_path):
+    # 20000 components: the analysis keeps one component-local vector per
+    # certificate, so it needs O(n) memory, not O(r*n)
+    path = write(tmp_path, "g.hg", "2 20000 0\n")
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run([sys.executable, "-m", "geoconn.cli", "check", path],
+                          capture_output=True, text=True, preexec_fn=cap_address_space,
+                          timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "beta = 20000 = components"
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     assert run(["beta", str(tmp_path / "missing.hg")]) == EXIT_INPUT
     bad = write(tmp_path, "bad.hg", "4 4 1\n1 2 3\n")
@@ -253,16 +287,42 @@ def test_report_perron_block_matches_the_power_iteration(tmp_path, capsys, monke
 def test_report_rejected_perron_pair_exits_1(tmp_path, capsys, monkeypatch):
     from geoconn import apply
 
+    # the Perron pair is restated from the Laplacian certificate
     def perturbed(view, x):
         out = apply(view, x)
-        if view.kind == "shifted_laplacian":
+        if view.kind == "laplacian":
             out[0] += 1
         return out
 
     path = write(tmp_path, "g.hg", SINGLE_EDGE)
-    monkeypatch.setattr("geoconn.spectral.apply", perturbed)
-    assert run(["report", path]) == EXIT_MISMATCH
+    with monkeypatch.context() as patch:
+        patch.setattr("geoconn.spectral.apply", perturbed)
+        assert run(["report", path]) == EXIT_MISMATCH
     assert json.loads(capsys.readouterr().out)["perron"] is None
+    # any rejected certificate fails the report, here the inexact Z ones
+    path = write(tmp_path, "g.hg", TIGHT_CYCLE)
+    assert run(["report", path, "--tol", "0"]) == EXIT_MISMATCH
+    document = json.loads(capsys.readouterr().out)
+    assert document["beta"] == 1 and document["beta_z"] == 0
+
+
+def test_report_contracts_the_laplacian_once_per_certificate(tmp_path, capsys, monkeypatch):
+    # connected and regular: one H and one Z contraction; the rho set and the
+    # Perron block are restated from the H certificate
+    from geoconn import apply
+
+    views = []
+
+    def counted(view, x):
+        views.append(view.kind)
+        return apply(view, x)
+
+    path = write(tmp_path, "g.hg", CYCLE)
+    monkeypatch.setattr("geoconn.spectral.apply", counted)
+    assert run(["report", path]) == EXIT_OK
+    document = json.loads(capsys.readouterr().out)
+    assert document["beta_rho"] == 1 and document["perron"]["rho"] == "2.0"
+    assert views == ["laplacian", "laplacian"]
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,19 @@ from oracles import union_find_components
 
 SINGLE_EDGE_4 = construct(4, 4, [(1, 2, 3, 4)])
 SIGNED = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+
+
+def padded(report) -> list[tuple]:
+    """The component-local certificate vectors as length-n vectors, zero
+    off their parts."""
+    n = sum(map(len, report.decomposition.parts))
+    vectors = []
+    for cert, part in zip(report.certificates, report.decomposition.parts):
+        full = [0] * n
+        for v, entry in zip(part, cert.vector):
+            full[v - 1] = entry
+        vectors.append(tuple(full))
+    return vectors
 
 
 def test_verify_h_accepts_signed_null_vectors_exactly():
@@ -200,6 +214,11 @@ def test_geometry_connectivity_counts_and_certifies():
         for part, cert in zip(report.decomposition.parts, report.certificates):
             assert cert.accepted and cert.exact and cert.residual == 0
             assert sum(cert.vector) == len(part)
+        # each vector is local to its part, whatever the number of parts
+        sizes = [len(part) for part in report.decomposition.parts]
+        for certificates in filter(None, (report.certificates, report.z_certificates,
+                                          report.rho_certificates)):
+            assert [len(cert.vector) for cert in certificates] == sizes
         assert report.beta_rho == (report.beta if report.regular_degree is not None
                                    else None)
 
@@ -208,8 +227,7 @@ def test_geometry_connectivity_singletons_are_trivial():
     g = construct(5, 3, [(1, 2, 3)])
     report = geometry_connectivity(g)
     assert report.beta == report.beta_z == 3
-    assert [c.vector for c in report.certificates] == [
-        (1, 1, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+    assert padded(report) == [(1, 1, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
     for cert in report.certificates[1:] + report.z_certificates[1:]:
         assert cert.exact and cert.residual == 0
 
@@ -265,8 +283,8 @@ def test_z_connectivity_exact_on_perfect_square_components():
     assert report.beta_z == 2
     first, second = report.certificates
     assert first.exact and first.residual == 0
-    assert first.vector == (Fraction(1, 2),) * 4 + (0,)
-    assert second.exact and second.vector == (0, 0, 0, 0, 1)
+    assert second.exact
+    assert padded(report) == [(Fraction(1, 2),) * 4 + (0,), (0, 0, 0, 0, 1)]
 
 
 def test_z_connectivity_float_on_other_components():
@@ -312,6 +330,26 @@ def test_rho_connectivity_disconnected_regular():
         assert cert.eigenvalue == 2 and cert.residual == 0
 
 
+def test_rho_certificates_restate_the_h_certificates(monkeypatch):
+    # L = d*I - A: the rho set is the H set at eigenvalue d, so a defect in
+    # the Laplacian contraction rejects both
+    def perturbed(view, x):
+        out = apply(view, x)
+        if view.kind == "laplacian":
+            out[0] += 1
+        return out
+
+    rng = random.Random(445)
+    inputs = [regular_connected_hypergraph(rng)[0] for _ in range(10)]
+    inputs.append(construct(6, 2, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]))
+    monkeypatch.setattr("geoconn.spectral.apply", perturbed)
+    for g in inputs:
+        report = geometry_connectivity(g)
+        assert report.rho_certificates == tuple(
+            replace(h, eigenvalue=report.regular_degree) for h in report.certificates)
+        assert report.beta_rho == report.beta < report.component_count
+
+
 def test_rho_connectivity_rejects_irregular():
     g = construct(3, 2, [(1, 2)])
     with pytest.raises(NotRegular):
@@ -329,8 +367,8 @@ def test_certificate_combinations_stay_null_vectors():
         if not any(coefficients):
             coefficients[0] = 1
         combined = [0] * g.n
-        for c, cert in zip(coefficients, report.certificates):
-            combined = [acc + c * v for acc, v in zip(combined, cert.vector)]
+        for c, vector in zip(coefficients, padded(report)):
+            combined = [acc + c * v for acc, v in zip(combined, vector)]
         check = verify_h_eigenpair(laplacian(g), 0, combined)
         assert check.accepted and check.residual == 0
 
@@ -338,9 +376,9 @@ def test_certificate_combinations_stay_null_vectors():
 def test_certificate_scaling_preserves_acceptance():
     g = construct(5, 3, [(1, 2, 3)])
     lap = laplacian(g)
-    for cert in geometry_connectivity(g).certificates:
+    for vector in padded(geometry_connectivity(g)):
         for scale in (Fraction(1, 7), 3, 10 ** 9):
-            scaled = tuple(scale * v for v in cert.vector)
+            scaled = tuple(scale * v for v in vector)
             again = verify_h_eigenpair(lap, 0, scaled)
             assert again.accepted and again.residual == 0
 
@@ -358,13 +396,13 @@ def test_beta_is_invariant_under_relabeling():
         assert moved.beta == base.beta
         # certificate entries permute with the vertices
         base_supports = {frozenset(perm[v - 1] for v, entry
-                                   in zip(range(1, g.n + 1), cert.vector)
+                                   in zip(range(1, g.n + 1), vector)
                                    if entry)
-                         for cert in base.certificates}
+                         for vector in padded(base)}
         moved_supports = {frozenset(v for v, entry
-                                    in zip(range(1, g.n + 1), cert.vector)
+                                    in zip(range(1, g.n + 1), vector)
                                     if entry)
-                          for cert in moved.certificates}
+                          for vector in padded(moved)}
         assert base_supports == moved_supports
 
 
