@@ -53,6 +53,11 @@ DEFAULT_TOL = 1e-9
 PERRON_TOL = 1e-10
 MAX_ITER = 10000
 
+# Anderson mixing in perron: the number of past steps it combines, and the
+# ridge of its least-squares solve relative to the largest Gram entry
+_DEPTH = 8
+_RIDGE = 1e-12
+
 VARIANT_H = "H"
 VARIANT_Z = "Z"
 
@@ -64,7 +69,9 @@ class EigenpairCertificate:
     ``residual`` is the scale-normalized max-norm defect (exact definition
     depends on the variant, see the verify functions); it is exactly 0 when
     a true eigenpair is checked in exact arithmetic. ``exact`` records
-    whether integer/rational arithmetic was used throughout.
+    whether integer/rational arithmetic was used throughout. ``accepted``
+    is ``residual <= tol``, decided once by the verify function with the
+    residual unrounded.
     """
 
     eigenvalue: Number
@@ -73,15 +80,19 @@ class EigenpairCertificate:
     residual: Number
     exact: bool
     tol: float
-
-    @property
-    def accepted(self) -> bool:
-        return self.residual <= self.tol
+    accepted: bool
 
 
 @dataclass(frozen=True)
 class PerronResult:
-    """Converged output of the shifted power iteration."""
+    """Certified output of ``perron``.
+
+    ``rho`` is the midpoint of the last Collatz-Wielandt bracket, narrower
+    than ``tolerance``, and ``vector`` the positive iterate it was taken at,
+    scaled to maximum 1; the pair passed verify_h_eigenpair at 10 times
+    ``tolerance``. ``iterations`` counts the brackets evaluated, one tensor
+    application each: 1 when the all-ones start is already the fixed point.
+    """
 
     rho: float
     vector: tuple[float, ...]
@@ -163,7 +174,8 @@ def verify_h_eigenpair(view: TensorView, eigenvalue: Number, x: Sequence[Number]
     if scale < 1:
         scale = 1
     residual = Fraction(defect, scale) if exact else defect / scale
-    return EigenpairCertificate(eigenvalue, xs, VARIANT_H, residual, exact, tol)
+    return EigenpairCertificate(eigenvalue, xs, VARIANT_H, residual, exact, tol,
+                                residual <= tol)
 
 
 def verify_z_eigenpair(view: TensorView, eigenvalue: Number, x: Sequence[Number],
@@ -184,26 +196,113 @@ def verify_z_eigenpair(view: TensorView, eigenvalue: Number, x: Sequence[Number]
     residual = max(defect, norm_defect)
     if exact:
         residual = Fraction(residual)
-    return EigenpairCertificate(eigenvalue, xs, VARIANT_Z, residual, exact, tol)
+    return EigenpairCertificate(eigenvalue, xs, VARIANT_Z, residual, exact, tol,
+                                residual <= tol)
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return sum([a * b for a, b in zip(u, v)])
+
+
+def _ridge_solve(gram: list[list[float]], rhs: list[float]) -> list[float]:
+    """Solve (gram + ridge*I) c = rhs for a Gram matrix, ridge = _RIDGE
+    times its largest diagonal entry, by elimination without pivoting (the
+    ridged matrix is positive definite); all zeros for a zero matrix."""
+    size = len(rhs)
+    ridge = _RIDGE * max(gram[i][i] for i in range(size))
+    if ridge == 0.0:
+        return [0.0] * size
+    a = [row + [b] for row, b in zip(gram, rhs)]
+    for i in range(size):
+        a[i][i] += ridge
+    for col in range(size):
+        pivot = a[col]
+        for r in range(col + 1, size):
+            factor = a[r][col] / pivot[col]
+            a[r] = [u - factor * v for u, v in zip(a[r], pivot)]
+    c = [0.0] * size
+    for i in range(size - 1, -1, -1):
+        c[i] = (a[i][size] - sum([a[i][j] * c[j] for j in range(i + 1, size)])) / a[i][i]
+    return c
+
+
+class _Anderson:
+    """Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011) for
+    a fixed-point iteration x -> F(x) on positive vectors.
+
+    With residuals g = F(x) - x, the history holds the last _DEPTH steps
+    dg_j = g_{j+1} - g_j and df_j = F(x_{j+1}) - F(x_j). The next iterate
+    is F(x) - sum_j c_j df_j, with c minimizing ||g - sum_j c_j dg_j|| by
+    ridged least squares. The Gram matrix of the dg_j and the products
+    dg_j . g are updated in O(_DEPTH * n) per step.
+    """
+
+    def __init__(self) -> None:
+        self.last: tuple[list[float], list[float]] | None = None  # (g, F(x))
+        self.dgs: list[list[float]] = []  # oldest first
+        self.dfs: list[list[float]] = []
+        self.gram: list[list[float]] = []  # gram[i][j] = dgs[i] . dgs[j]
+        self.rhs: list[float] = []  # rhs[i] = dgs[i] . g of the last step
+
+    def next_iterate(self, fx: list[float], g: list[float]) -> list[float]:
+        """The mixed iterate when every entry is positive; otherwise the
+        plain step fx, and the history is cleared."""
+        if self.last is not None:
+            self._push(fx, g)
+        self.last = (g, fx)
+        if not self.dgs:
+            return fx
+        mixed = fx
+        for c, df in zip(_ridge_solve(self.gram, self.rhs), self.dfs):
+            mixed = [m - c * d for m, d in zip(mixed, df)]
+        if min(mixed) > 0.0:
+            return mixed
+        self.dgs, self.dfs, self.gram, self.rhs = [], [], [], []
+        return fx
+
+    def _push(self, fx: list[float], g: list[float]) -> None:
+        last_g, last_f = self.last
+        if len(self.dgs) == _DEPTH:
+            del self.dgs[0], self.dfs[0], self.gram[0], self.rhs[0]
+            for row in self.gram:
+                del row[0]
+        dg = [a - b for a, b in zip(g, last_g)]
+        row = [_dot(d, dg) for d in self.dgs]
+        # d . g = d . last_g + d . dg
+        self.rhs = [r + v for r, v in zip(self.rhs, row)]
+        self.rhs.append(_dot(dg, g))
+        for entries, value in zip(self.gram, row):
+            entries.append(value)
+        row.append(_dot(dg, dg))
+        self.gram.append(row)
+        self.dgs.append(dg)
+        self.dfs.append([a - b for a, b in zip(fx, last_f)])
 
 
 def perron(view: TensorView, tol: float = PERRON_TOL,
            max_iter: int = MAX_ITER) -> PerronResult:
     """Spectral radius and positive eigenvector of a nonnegative weakly
-    irreducible tensor by shifted power iteration.
+    irreducible tensor by an Anderson-accelerated shifted power iteration.
 
     Iterates on T + I (unit diagonal shift; weak irreducibility alone does
     not make the plain iteration convergent, while the shift does and only
-    moves the spectral radius by 1). From x > 0, each step computes
-    z = (T + I) x^{m-1}; the ratios z_i / x_i^{m-1} bracket the spectral
-    radius of T + I, and the iteration stops once max - min < tol, returning
-    the bracket midpoint minus the shift. The next iterate is the entrywise
-    (m-1)-th root of z, sup-normalized.
+    moves the spectral radius by 1). From x > 0, starting at the all-ones
+    vector, each step computes z = (T + I) x^{m-1}. For any positive x the
+    Collatz-Wielandt ratios z_i / x_i^{m-1} bracket the spectral radius of
+    T + I (Chang, Pearson and Zhang, Commun. Math. Sci. 6, 2008), and the
+    iteration stops once max - min < tol, returning the bracket midpoint
+    minus the shift with x sup-normalized. Otherwise the plain step is
+    F(x), the entrywise (m-1)-th root of z normalized to mean 1, and the
+    next iterate mixes it with the last _DEPTH steps by least squares
+    (``_Anderson``), falling back to F(x) when the mix has an entry <= 0.
+    The bracket is taken at the iterate itself, so the mixing moves only
+    the path to convergence, never the stop rule. A fixed point such as the
+    all-ones vector of a regular adjacency tensor returns at iteration 1.
 
-    The returned vector is entrywise positive and the pair passes
-    verify_h_eigenpair at tolerance 10*tol. Raises NotIrreducible when the
-    support digraph is not strongly connected, NoConvergence (with the last
-    bracket) when max_iter is hit.
+    The returned vector is entrywise positive with maximum 1, and the pair
+    passes verify_h_eigenpair at tolerance 10*tol. Raises NotIrreducible
+    when the support digraph is not strongly connected, NoConvergence (with
+    the last bracket) when max_iter is hit or the verification fails.
     """
     if not is_weakly_irreducible(view):
         raise NotIrreducible("power iteration requires a weakly irreducible tensor")
@@ -211,6 +310,7 @@ def perron(view: TensorView, tol: float = PERRON_TOL,
     root = 1.0 / power
     x = [1.0] * view.dim
     lower = upper = 0.0
+    history = _Anderson()
     for iteration in range(1, max_iter + 1):
         y = apply(view, x)
         z = [float(yi) + xi ** power for yi, xi in zip(y, x)]
@@ -219,7 +319,8 @@ def perron(view: TensorView, tol: float = PERRON_TOL,
         lower = min(ratios)
         if upper - lower < tol:
             rho = (upper + lower) / 2.0 - 1.0
-            vector = tuple(x)
+            top = max(x)
+            vector = tuple(xi / top for xi in x)
             certificate = verify_h_eigenpair(view, rho, vector, 10.0 * tol)
             if not certificate.accepted:
                 raise NoConvergence(
@@ -227,8 +328,9 @@ def perron(view: TensorView, tol: float = PERRON_TOL,
                     lower - 1.0, upper - 1.0, iteration)
             return PerronResult(rho, vector, iteration, tol)
         scaled = [zi ** root for zi in z]
-        top = max(scaled)
-        x = [si / top for si in scaled]
+        mean = sum(scaled) / view.dim
+        fx = [si / mean for si in scaled]
+        x = history.next_iterate(fx, [fi - xi for fi, xi in zip(fx, x)])
     raise NoConvergence(
         f"no convergence after {max_iter} iterations "
         f"(spectral radius in [{lower - 1.0}, {upper - 1.0}])",

@@ -69,3 +69,11 @@ def regular_connected_hypergraph(rng: random.Random, k_choices=(3, 4),
         if not clash:
             return construct(n, k, sorted(edges)), cycles * k
         cycles = 1
+
+
+def loose_path(length: int, k: int = 3) -> Hypergraph:
+    """k-uniform loose path with ``length`` edges: consecutive edges share
+    one vertex, on (k-1)*length + 1 vertices in path order."""
+    return construct((k - 1) * length + 1, k,
+                     [tuple(range((k - 1) * i + 1, (k - 1) * i + k + 1))
+                      for i in range(length)])

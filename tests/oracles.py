@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import cos, factorial, pi
 
 from geoconn import Hypergraph
 
@@ -70,6 +70,35 @@ def dense_apply(entries: dict[tuple[int, ...], Fraction], dim: int, x) -> list:
             term = term * x[j - 1]
         out[index[0] - 1] = out[index[0] - 1] + term
     return out
+
+
+def loose_path_spectral_radius(length: int, k: int = 3) -> float:
+    """Spectral radius of the adjacency tensor of the k-uniform loose path
+    with ``length`` edges. It is the k-th power hypergraph of the path
+    P_{length+1}, whose radius is 2*cos(pi/(length+2)), and
+    rho(G^{(k)}) = rho(G)^{2/k} (Zhou, Sun, Wang and Bu, Electron. J.
+    Combin. 21(4), 2014)."""
+    return (2.0 * cos(pi / (length + 2))) ** (2.0 / k)
+
+
+def power_iteration(entries: dict[tuple[int, ...], Fraction], order: int, dim: int,
+                    tol: float = 1e-12, max_iter: int = 200000) -> float:
+    """Spectral radius of a nonnegative weakly irreducible tensor by the
+    plain unit-shifted power iteration x -> ((T + I) x^{m-1})^{1/(m-1)} on
+    ``dense_apply``, stopped when the Collatz-Wielandt bracket is narrower
+    than ``tol``."""
+    power = order - 1
+    floats = {index: float(value) for index, value in entries.items()}
+    x = [1.0] * dim
+    for _ in range(max_iter):
+        z = [yi + xi ** power for yi, xi in zip(dense_apply(floats, dim, x), x)]
+        ratios = [zi / xi ** power for zi, xi in zip(z, x)]
+        if max(ratios) - min(ratios) < tol:
+            return (max(ratios) + min(ratios)) / 2.0 - 1.0
+        scaled = [zi ** (1.0 / power) for zi in z]
+        top = max(scaled)
+        x = [si / top for si in scaled]
+    raise AssertionError(f"oracle power iteration did not converge in {max_iter} steps")
 
 
 def laplacian_matrix(g: Hypergraph) -> list[list[Fraction]]:

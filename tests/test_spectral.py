@@ -13,6 +13,7 @@ from geoconn import (
     NoConvergence,
     NotIrreducible,
     NotRegular,
+    PERRON_TOL,
     ZeroVector,
     adjacency,
     apply,
@@ -34,10 +35,17 @@ from geoconn.cli import EXIT_MISMATCH, run
 
 from generators import (
     connected_hypergraph,
+    loose_path,
     random_hypergraph,
     regular_connected_hypergraph,
 )
-from oracles import union_find_components
+from oracles import (
+    adjacency_entries,
+    dense_apply,
+    loose_path_spectral_radius,
+    power_iteration,
+    union_find_components,
+)
 
 SINGLE_EDGE_4 = construct(4, 4, [(1, 2, 3, 4)])
 SIGNED = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
@@ -188,6 +196,69 @@ def test_perron_reports_bracket_on_iteration_cap():
         perron(adjacency(p3), max_iter=1)
     assert err.value.iterations == 1
     assert err.value.lower <= math.sqrt(2.0) <= err.value.upper
+    # tol 0 runs on past the float fixed point, where the residuals stop
+    # changing and the mixing history has a zero Gram matrix
+    with pytest.raises(NoConvergence) as err:
+        perron(adjacency(loose_path(5, 4)), tol=0.0, max_iter=2000)
+    assert err.value.iterations == 2000
+    assert err.value.upper - err.value.lower <= 1e-12
+    assert err.value.lower - 1e-12 <= loose_path_spectral_radius(5, 4) <= err.value.upper + 1e-12
+
+
+@pytest.mark.parametrize("length, k",
+                         [(5, 3), (20, 3), (80, 3), (160, 3), (99, 2), (4, 120)])
+def test_perron_loose_path_closed_form(length, k):
+    # far from the all-ones start; the plain iteration needs over 10000
+    # steps at 160 edges, the k = 2 path on 100 vertices is bipartite, and
+    # k = 120 needs iterates of mean 1: entries near 1/n underflow in x^{k-1}
+    result = perron(adjacency(loose_path(length, k)), tol=1e-9)
+    assert abs(result.rho - loose_path_spectral_radius(length, k)) <= 1e-9
+    assert all(v > 0 for v in result.vector)
+    assert max(result.vector) == 1.0
+
+
+def test_perron_matches_plain_power_iteration_oracle():
+    oracle_rho = power_iteration(adjacency_entries(loose_path(5)), 3, 11)
+    assert abs(oracle_rho - loose_path_spectral_radius(5)) <= 1e-10
+    rng = random.Random(303)
+    checked = 0
+    while checked < 30:
+        g = connected_hypergraph(rng, max_n=12)
+        degree = [0] * (g.n + 1)
+        for edge in g.edges:
+            for v in edge:
+                degree[v] += 1
+        if len(set(degree[1:])) == 1:
+            continue  # the all-ones start is the fixed point of a regular input
+        entries = adjacency_entries(g)
+        rho = power_iteration(entries, g.k, g.n)
+        result = perron(adjacency(g))
+        assert result.iterations > 1
+        assert abs(result.rho - rho) <= 1e-8
+        assert all(v > 0 for v in result.vector) and max(result.vector) == 1.0
+        y = dense_apply(entries, g.n, result.vector)
+        residual = max(abs(yi - result.rho * xi ** (g.k - 1))
+                       for yi, xi in zip(y, result.vector))
+        assert residual <= 10 * PERRON_TOL
+        checked += 1
+
+
+def test_perron_evaluates_positive_iterates_only(monkeypatch):
+    # the bracket holds at positive vectors only; on this graph the mixed
+    # step has an entry <= 0 twice, and perron takes the plain step instead
+    g = construct(11, 2, [(1, 4), (1, 5), (2, 6), (2, 9), (2, 10), (2, 11), (3, 5),
+                          (3, 8), (4, 7), (6, 7), (7, 9), (9, 11), (10, 11)])
+    smallest = []
+
+    def spy(view, x):
+        smallest.append(min(x))
+        return apply(view, x)
+
+    monkeypatch.setattr("geoconn.spectral.apply", spy)
+    result = perron(adjacency(g))
+    assert min(smallest) > 0
+    rho = power_iteration(adjacency_entries(g), g.k, g.n)
+    assert abs(result.rho - rho) <= 1e-8
 
 
 def test_geometry_connectivity_single_edge():
