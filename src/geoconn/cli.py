@@ -371,21 +371,22 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to a file")
 
 
-def _at_least(parse, low: int, what: str):
-    """An argparse type requiring low <= parse(text) < inf; nan fails too."""
+def _at_least(parse, low: int, what: str, strict: bool = False):
+    """An argparse type requiring low <= parse(text) < inf (low < when strict); nan fails."""
     def convert(text: str):
         try:
             value = parse(text)
         except ValueError:
             value = nan
-        if not low <= value < inf:
-            raise argparse.ArgumentTypeError(f"expected {what} >= {low}, got {text!r}")
+        if not (low < value if strict else low <= value) or not value < inf:
+            raise argparse.ArgumentTypeError(
+                f"expected {what} {'>' if strict else '>='} {low}, got {text!r}")
         return value
     return convert
 
 
-def _add_tol(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=_at_least(float, 0, "a finite number"),
+def _add_tol(sub: argparse.ArgumentParser, strict: bool = False) -> None:
+    sub.add_argument("--tol", type=_at_least(float, 0, "a finite number", strict),
                      default=DEFAULT_TOL, help="acceptance tolerance (default 1e-9)")
 
 
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("perron", help="spectral radius by power iteration")
     _add_common(sub)
-    _add_tol(sub)
+    _add_tol(sub, strict=True)  # its stop rule upper - lower < tol never holds at 0
     _add_max_iter(sub)
     _add_format(sub)
     sub.add_argument("--tensor", choices=TENSOR_VIEWS, default="adjacency",

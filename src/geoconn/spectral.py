@@ -7,16 +7,17 @@ Two eigenpair notions are handled for an order-m tensor T:
 
 The headline computation certifies that the number of connected components r
 of a k-uniform hypergraph equals the maximum number of linearly independent
-nonnegative null eigenvectors of its Laplacian tensor. Each component
-indicator vector is verified exactly as a 0-eigenvector of its component's
-Laplacian, and beta counts the certificates that pass. Maximality is not
-computed; it rests on two theorems. A weakly irreducible nonnegative tensor
-has a unique positive eigenvector up to scale (Friedland, Gaubert and Han,
-Linear Algebra Appl. 438, 2013), and the nonnegative null vectors of the
-Laplacian tensor are the nonnegative combinations of the component
-indicators (Hu and Qi, Discrete Appl. Math. 169, 2014). Both apply to the
-parts the analysis certifies, because the analysis checks that each part is
-closed under edges, and the breadth-first search makes each part connected.
+nonnegative null eigenvectors of its Laplacian tensor L, witnessed by the
+component indicators 1_C. Every part C is checked to be closed under edges,
+so (L 1_C)_i is (L 1)_i on C and 0 elsewhere: one exact contraction L 1 of
+the whole hypergraph verifies every indicator, and beta counts those that
+pass. Maximality is not computed; it rests on two theorems. A weakly
+irreducible nonnegative tensor has a unique positive eigenvector up to
+scale (Friedland, Gaubert and Han, Linear Algebra Appl. 438, 2013), and the
+nonnegative null vectors of the Laplacian tensor are the nonnegative
+combinations of the component indicators (Hu and Qi, Discrete Appl. Math.
+169, 2014). Both apply to the certified parts: they are closed under edges,
+and the breadth-first search makes each part connected.
 ``perron`` is a standalone solver for the spectral radius.
 """
 
@@ -70,8 +71,8 @@ class EigenpairCertificate:
     depends on the variant, see the verify functions); it is exactly 0 when
     a true eigenpair is checked in exact arithmetic. ``exact`` records
     whether integer/rational arithmetic was used throughout. ``accepted``
-    is ``residual <= tol``, decided once by the verify function with the
-    residual unrounded.
+    is ``residual <= tol``, decided once when the certificate is made, with
+    the residual unrounded.
     """
 
     eigenvalue: Number
@@ -105,18 +106,17 @@ class ConnectivityReport:
     """Everything the connectivity analysis certifies about one hypergraph.
 
     Each certificate set holds one eigenpair per component, in component
-    order, as it was verified on the component: the vector of the c-th
-    certificate has one entry per vertex of ``decomposition.parts[c]``, in
-    that order, and vanishes on every other vertex. ``certificates`` holds
-    the indicators as H-eigenvectors of the Laplacian at 0,
-    ``z_certificates`` the unit-norm indicators as Z-eigenvectors at 0, and
-    ``rho_certificates`` (regular input only, otherwise None) the indicators
-    as H-eigenvectors of the adjacency tensor at the degree d, restated from
-    ``certificates``: L = d*I - A gives A*1 - d*1 = -L*1, so the exact
-    residual is the same. ``beta``, ``beta_z`` and ``beta_rho`` count the
-    accepted certificates of each set. The report takes O(n + k*m) memory
-    for any number of components; only output that pads every vector to
-    length n is O(r*n).
+    order: the vector of the c-th certificate has one entry per vertex of
+    ``decomposition.parts[c]``, in that order, and vanishes on every other
+    vertex. ``certificates`` holds the indicators as H-eigenvectors of the
+    Laplacian at 0, ``z_certificates`` the unit-norm indicators as
+    Z-eigenvectors at 0, and ``rho_certificates`` (regular input only,
+    otherwise None) the indicators as H-eigenvectors of the adjacency
+    tensor at the degree d. All three are read off one contraction L*1 of
+    the whole hypergraph (see ``geometry_connectivity``). ``beta``,
+    ``beta_z`` and ``beta_rho`` count the accepted certificates of each
+    set. The report takes O(n + k*m) memory for any number of components;
+    only output that pads every vector to length n is O(r*n).
     """
 
     component_count: int
@@ -337,79 +337,77 @@ def perron(view: TensorView, tol: float = PERRON_TOL,
         lower - 1.0, upper - 1.0, max_iter)
 
 
-def _unit_vector(size: int) -> tuple[Number, ...]:
-    # 1/sqrt(size) in every entry; exact rational when size is a square
-    r = isqrt(size)
-    entry: Number = Fraction(1, r) if r * r == size else 1.0 / sqrt(size)
-    return (entry,) * size
-
-
-def _component_graphs(g: Hypergraph,
-                      decomposition: ComponentDecomposition) -> list[Hypergraph]:
-    """One sub-hypergraph per part, members relabeled 1..|part| in label
-    order, in O(n + k*m). ``g`` itself stands for a part that covers every
-    vertex.
-
-    Raises ValueError naming the edge when an edge has a member outside its
-    assigned part: the per-component certificates are exact only for parts
-    closed under edges.
-    """
-    parts = decomposition.parts
-    if len(parts) == 1 and len(parts[0]) == g.n:
-        return [g]
-    owner = [-1] * (g.n + 1)
-    local = [0] * (g.n + 1)
-    for index, part in enumerate(parts):
-        for label, v in enumerate(part, start=1):
-            owner[v] = index
-            local[v] = label
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in parts]
-    for j, (edge, index) in enumerate(zip(g.edges, decomposition.edge_assignment)):
-        if any(owner[v] != index for v in edge):
-            raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")
-        buckets[index].append(tuple(local[v] for v in edge))
-    return [Hypergraph(len(part), g.k, tuple(edges))
-            for part, edges in zip(parts, buckets)]
-
-
 def _accepted(certificates: Sequence[EigenpairCertificate]) -> int:
     return sum(1 for c in certificates if c.accepted)
+
+
+def _indicator_certificates(size: int, h: int, k: int, tol: float
+                            ) -> tuple[EigenpairCertificate, EigenpairCertificate]:
+    """The H certificate (0, 1) of a part of ``size`` vertices on which L*1
+    has max-norm h, and the Z certificate (0, c*1) with c = 1/sqrt(size),
+    a Fraction when size is a perfect square and a float otherwise.
+
+    The H residual is h. L(c*1) = c^(k-1)*L*1, so the Z residual is the
+    exact defect of the printed vector, max(c^(k-1)*h, |size*c^2 - 1|),
+    rounded once to float when c is; both are accepted unrounded.
+    """
+    residual = Fraction(h)
+    h_cert = EigenpairCertificate(0, (1,) * size, VARIANT_H, residual, True, tol,
+                                  residual <= tol)
+    root = isqrt(size)
+    exact = root * root == size
+    entry: Number = Fraction(1, root) if exact else 1.0 / sqrt(size)
+    c = Fraction(entry)
+    defect = max(c ** (k - 1) * h, abs(size * c * c - 1))
+    z_cert = EigenpairCertificate(0, (entry,) * size, VARIANT_Z,
+                                  defect if exact else float(defect), exact, tol,
+                                  defect <= tol)
+    return h_cert, z_cert
 
 
 def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityReport:
     """Compute beta(G), beta_Z(G) and, for a regular input, beta_rho(G),
     with certificates, in one O(n + k*m) pass.
 
-    Each component's indicator is verified in exact arithmetic as a
-    0-eigenvector of that component's own Laplacian (H), and its unit-norm
-    rescaling as a Z-eigenvector at 0. On a d-regular input the H
-    certificates restate as eigenpairs of the adjacency tensor at d. The
-    vectors stay local to their components; a vector padded with zeros to
-    length n keeps its residual, because no edge leaves a component. The
-    betas count the accepted certificates, so a rejected one lowers them
-    below the component count.
+    Raises ValueError naming the first edge with a member outside its
+    assigned part. Every part C is then closed under edges, so the one
+    exact integer contraction y = L*1 of the whole hypergraph gives each
+    indicator's H residual, max |y_i| over C, and from it the Z residual
+    (``_indicator_certificates``). On a d-regular input L = d*I - A gives
+    A*1 - d*1 = -L*1, so the H certificates restate as eigenpairs of the
+    adjacency tensor at d with the same residual. The betas count the
+    accepted certificates, so a rejected one lowers them below r.
     """
     decomposition = connected_components(g)
+    parts = decomposition.parts
+    owner = [-1] * (g.n + 1)
+    for index, part in enumerate(parts):
+        for v in part:
+            owner[v] = index
+    for j, (edge, index) in enumerate(zip(g.edges, decomposition.edge_assignment)):
+        for v in edge:
+            if owner[v] != index:
+                raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")
     degree = is_regular(g)
     regular = degree is not None
-    h_certs: list[EigenpairCertificate] = []
-    z_certs: list[EigenpairCertificate] = []
-    for part, sub in zip(decomposition.parts, _component_graphs(g, decomposition)):
-        lap = laplacian(sub)
-        h_certs.append(verify_h_eigenpair(lap, 0, (1,) * len(part), tol))
-        z_certs.append(verify_z_eigenpair(lap, 0, _unit_vector(len(part)), tol))
-    # L = d*I - A on a d-regular input, so A*1 - d*1 = -L*1: the same residual
+    y = apply(laplacian(g), [1] * g.n)
+    keys = [(len(part), max(abs(y[v - 1]) for v in part)) for part in parts]
+    # parts of one size and one residual share their certificates, so the
+    # Fraction arithmetic runs once per distinct pair, not once per part
+    pairs = {key: _indicator_certificates(*key, g.k, tol) for key in set(keys)}
+    h_certs = tuple(pairs[key][0] for key in keys)
+    z_certs = tuple(pairs[key][1] for key in keys)
     rho_certs = tuple(replace(h, eigenvalue=degree) for h in h_certs) if regular else None
     return ConnectivityReport(
         component_count=decomposition.count,
         beta=_accepted(h_certs),
         beta_z=_accepted(z_certs),
         beta_rho=_accepted(rho_certs) if regular else None,
-        certificates=tuple(h_certs),
+        certificates=h_certs,
         weakly_irreducible=decomposition.count == 1,  # see is_weakly_irreducible
         regular_degree=degree,
         decomposition=decomposition,
-        z_certificates=tuple(z_certs),
+        z_certificates=z_certs,
         rho_certificates=rho_certs,
     )
 

@@ -306,9 +306,9 @@ def test_report_rejected_perron_pair_exits_1(tmp_path, capsys, monkeypatch):
     assert document["beta"] == 1 and document["beta_z"] == 0
 
 
-def test_report_contracts_the_laplacian_once_per_certificate(tmp_path, capsys, monkeypatch):
-    # connected and regular: one H and one Z contraction; the rho set and the
-    # Perron block are restated from the H certificate
+def test_analysis_contracts_the_laplacian_once(tmp_path, capsys, monkeypatch):
+    # one exact contraction L*1 of the whole hypergraph gives every
+    # component's H, Z and rho certificate and the report's Perron block
     from geoconn import apply
 
     views = []
@@ -317,12 +317,20 @@ def test_report_contracts_the_laplacian_once_per_certificate(tmp_path, capsys, m
         views.append(view.kind)
         return apply(view, x)
 
-    path = write(tmp_path, "g.hg", CYCLE)
     monkeypatch.setattr("geoconn.spectral.apply", counted)
-    assert run(["report", path]) == EXIT_OK
-    document = json.loads(capsys.readouterr().out)
-    assert document["beta_rho"] == 1 and document["perron"]["rho"] == "2.0"
-    assert views == ["laplacian", "laplacian"]
+    for text, count in ((CYCLE, 1), (TWO_COMPONENTS, 3)):
+        path = write(tmp_path, "g.hg", text)
+        outputs = {}
+        for argv in (["report", path], ["check", path], ["beta", path, "--z"]):
+            views.clear()
+            assert run(argv) == EXIT_OK
+            outputs[argv[0]] = capsys.readouterr().out
+            assert views == ["laplacian"], argv
+        document = json.loads(outputs["report"])
+        assert document["beta_z"] == count
+        assert (document["perron"] is not None) == (count == 1)
+        assert outputs["check"].splitlines()[-1] == f"beta = {count} = components"
+        assert outputs["beta"].splitlines()[0] == f"beta_z = {count}"
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -346,7 +354,7 @@ def test_bad_usage_raises_system_exit(capsys):
     for argv in (["check", "x.hg", "--tol", "nan"], ["check", "x.hg", "--tol", "-1"],
                  ["beta", "x.hg", "--tol", "inf"], ["report", "x.hg", "--tol", "x"],
                  ["perron", "x.hg", "--max-iter", "0"], ["perron", "x.hg", "--max-iter", "-5"],
-                 ["perron", "x.hg", "--max-iter", "2.5"]):
+                 ["perron", "x.hg", "--max-iter", "2.5"], ["perron", "x.hg", "--tol", "0"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2

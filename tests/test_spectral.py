@@ -324,16 +324,30 @@ def test_restriction_to_a_component_keeps_the_residual():
 
 
 def test_rejected_certificate_lowers_beta_and_fails_check(monkeypatch, tmp_path, capsys):
+    # one corrupted entry of the contraction rejects exactly the certificates
+    # of the part holding that vertex, in every set
+    corrupted = []
+
     def perturbed(view, x):
         out = apply(view, x)
-        out[0] += 1
+        out[corrupted[0] - 1] += 1
         return out
 
-    g = construct(7, 3, [(1, 2, 3), (4, 5, 6)])
+    two_edges = construct(7, 3, [(1, 2, 3), (4, 5, 6)])
+    triangles = construct(6, 2, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     monkeypatch.setattr("geoconn.spectral.apply", perturbed)
-    report = geometry_connectivity(g)
-    assert report.beta < report.component_count
-    assert report.beta_z < report.component_count
+    for g, vertex in ((two_edges, 1), (two_edges, 5), (two_edges, 7),
+                      (triangles, 1), (triangles, 6)):
+        corrupted[:] = [vertex]
+        report = geometry_connectivity(g)
+        r = report.component_count
+        assert report.beta == report.beta_z == r - 1
+        assert report.beta_rho == (r - 1 if g is triangles else None)
+        hit = next(i for i, part in enumerate(report.decomposition.parts) if vertex in part)
+        for certificates in filter(None, (report.certificates, report.z_certificates,
+                                          report.rho_certificates)):
+            assert [c.accepted for c in certificates] == [i != hit for i in range(r)]
+    corrupted[:] = [1]
     path = tmp_path / "g.hg"
     path.write_text("3 7 2\n1 2 3\n4 5 6\n")
     assert run(["check", str(path)]) == EXIT_MISMATCH
@@ -366,6 +380,34 @@ def test_z_connectivity_float_on_other_components():
     assert cert.accepted
     assert cert.residual <= 1e-12
     assert abs(sum(v * v for v in cert.vector) - 1) <= 1e-15
+
+
+def test_z_residual_is_the_exact_defect_of_the_printed_vector():
+    # parts of 1 to 20 vertices: at tol 0 a Z certificate passes exactly when
+    # its entry 1/sqrt(size) is rational, and an inexact residual is the norm
+    # defect of the printed float entry, rounded once
+    for k in (2, 3):
+        sizes = [size for size in range(1, 21) if size == 1 or size >= k]
+        edges, first = [], 1
+        for size in sizes:
+            edges += [tuple(range(v, v + k)) for v in range(first, first + size - k + 1)]
+            first += size
+        report = geometry_connectivity(construct(first - 1, k, edges), tol=0.0)
+        assert [len(part) for part in report.decomposition.parts] == sizes
+        squares = 0
+        for part, cert in zip(report.decomposition.parts, report.z_certificates):
+            square = math.isqrt(len(part)) ** 2 == len(part)
+            squares += square
+            assert cert.accepted == cert.exact == square
+            defect = abs(len(part) * Fraction(cert.vector[0]) ** 2 - 1)
+            if square:
+                assert cert.residual == defect == 0
+                assert isinstance(cert.residual, Fraction)
+            else:
+                assert isinstance(cert.residual, float)
+                assert cert.residual == float(defect) > 0
+        assert report.beta_z == squares
+        assert report.beta == len(sizes)
 
 
 def test_z_connectivity_agrees_with_beta():
