@@ -41,11 +41,9 @@ from .spectral import (
     ConnectivityReport,
     EigenpairCertificate,
     PerronResult,
-    SignedNullVectorsDemo,
     geometry_connectivity,
     perron,
     rho_connectivity,
-    signed_null_vectors_demo,
     verify_h_eigenpair,
     verify_z_eigenpair,
     z_geometry_connectivity,
@@ -54,7 +52,6 @@ from .tensor import (
     SparseTensor,
     adjacency,
     apply,
-    explicit,
     is_weakly_irreducible,
     laplacian,
     shifted_laplacian,
@@ -83,7 +80,6 @@ __all__ = [
     "PERRON_TOL",
     "ParseError",
     "PerronResult",
-    "SignedNullVectorsDemo",
     "SparseTensor",
     "WrongUniformity",
     "ZeroVector",
@@ -92,7 +88,6 @@ __all__ = [
     "connected_components",
     "construct",
     "degrees",
-    "explicit",
     "geometry_connectivity",
     "induced",
     "is_regular",
@@ -101,7 +96,6 @@ __all__ = [
     "perron",
     "rho_connectivity",
     "shifted_laplacian",
-    "signed_null_vectors_demo",
     "support_digraph",
     "verify_h_eigenpair",
     "verify_z_eigenpair",

@@ -3,8 +3,8 @@
 Hypergraph files are plain text: a header line ``k n m`` followed by m edge
 lines of k vertex labels each, whitespace separated, 1-based labels.  Blank
 lines and ``#`` comments (full line or trailing) are ignored.  Vector files
-hold one number per line, as an integer, a rational ``p/q`` or a decimal;
-integer and rational entries keep the computation exact.
+hold one number per line, as an integer, a rational ``p/q`` or a finite
+decimal; integer and rational entries keep the computation exact.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 2 malformed input, 3 iteration did not converge (``perron`` only).
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import inf, nan
+from math import inf, isfinite, nan
 from typing import Iterator, Sequence, TextIO
 
 from .errors import EdgeError, GeoconnError, IoError, NoConvergence, ParseError
@@ -94,7 +94,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 
 def parse_scalar(token: str) -> Number:
-    """int, then ``p/q`` rational, then decimal float."""
+    """int, then ``p/q`` rational, then finite decimal float; nan, inf and
+    decimals beyond the float range are refused."""
     try:
         return int(token)
     except ValueError:
@@ -105,9 +106,12 @@ def parse_scalar(token: str) -> Number:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {token!r}", line=None) from None
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"bad number {token!r}", line=None) from None
+    if not isfinite(value):
+        raise ParseError(f"number {token!r} is not finite", line=None)
+    return value
 
 
 def parse_vector(text: str) -> list[Number]:
@@ -319,7 +323,10 @@ def _cmd_perron(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = load_hypergraph(args.hypergraph)
     x = load_vector(args.vector)
-    lam = parse_scalar(args.lam)
+    try:
+        lam = parse_scalar(args.lam)
+    except ParseError as exc:
+        raise ParseError(f"--lambda: {exc}", line=None) from None
     view = TENSOR_VIEWS[args.tensor](g)
     if args.z:
         certificate = verify_z_eigenpair(view, lam, x, tol=args.tol)

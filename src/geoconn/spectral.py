@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isfinite, isqrt, sqrt
 from typing import Sequence
 
 from .errors import (
@@ -43,7 +43,7 @@ from .hypergraph import (
 )
 from .tensor import (
     Number,
-    TensorView,
+    HypergraphView,
     apply,
     is_exact_scalar,
     is_weakly_irreducible,
@@ -71,8 +71,8 @@ class EigenpairCertificate:
     depends on the variant, see the verify functions); it is exactly 0 when
     a true eigenpair is checked in exact arithmetic. ``exact`` records
     whether integer/rational arithmetic was used throughout. ``accepted``
-    is ``residual <= tol``, decided once when the certificate is made, with
-    the residual unrounded.
+    is ``residual <= tol`` at the tolerance of the check, decided once when
+    the certificate is made, with the residual unrounded.
     """
 
     eigenvalue: Number
@@ -80,7 +80,6 @@ class EigenpairCertificate:
     variant: str
     residual: Number
     exact: bool
-    tol: float
     accepted: bool
 
 
@@ -131,72 +130,67 @@ class ConnectivityReport:
     rho_certificates: tuple[EigenpairCertificate, ...] | None = field(repr=False)
 
 
-@dataclass(frozen=True)
-class SignedNullVectorsDemo:
-    """Outcome of checking signed null-eigenvector candidates against beta."""
-
-    accepted: tuple[EigenpairCertificate, ...]
-    rejected: tuple[EigenpairCertificate, ...]
-    beta: int
-
-    @property
-    def independent_count(self) -> int:
-        return len(self.accepted)
-
-
-def _checked_vector(view: TensorView, x: Sequence[Number]) -> tuple[Number, ...]:
+def _checked_vector(view: HypergraphView, eigenvalue: Number,
+                    x: Sequence[Number]) -> tuple[Number, ...]:
     xs = tuple(x)
     if len(xs) != view.dim:
         raise DimensionError(f"vector has length {len(xs)}, tensor dimension is {view.dim}")
+    if isinstance(eigenvalue, float) and not isfinite(eigenvalue):
+        raise ValueError(f"eigenvalue is not finite: {eigenvalue!r}")
+    for i, v in enumerate(xs, start=1):
+        if isinstance(v, float) and not isfinite(v):
+            raise ValueError(f"vector entry {i} is not finite: {v!r}")
     if all(v == 0 for v in xs):
         raise ZeroVector("candidate eigenvector must be nonzero")
     return xs
 
 
-def verify_h_eigenpair(view: TensorView, eigenvalue: Number, x: Sequence[Number],
+def verify_h_eigenpair(view: HypergraphView, eigenvalue: Number, x: Sequence[Number],
                        tol: float = DEFAULT_TOL) -> EigenpairCertificate:
     """Check T x^{m-1} = lambda * x^{[m-1]}.
 
     residual = ||T x^{m-1} - lambda * x^{[m-1]}||_inf / max(1, ||x||_inf^{m-1}),
     kept as an exact rational when the tensor, eigenvalue and vector are all
-    exact.
+    exact. Raises ValueError when the eigenvalue or an entry is not finite;
+    a float overflow inside the check gives a NaN residual, which rejects.
     """
-    xs = _checked_vector(view, x)
+    xs = _checked_vector(view, eigenvalue, x)
     exact = view.is_exact and is_exact_scalar(eigenvalue) and all(map(is_exact_scalar, xs))
     power = view.order - 1
     y = apply(view, xs)
     defect: Number = 0
     for yi, xi in zip(y, xs):
         d = abs(yi - eigenvalue * (xi ** power))
-        if d > defect:
+        if d > defect or d != d:  # float overflow gives NaN, which must reject
             defect = d
     scale = max(abs(xi) for xi in xs) ** power
     if scale < 1:
         scale = 1
     residual = Fraction(defect, scale) if exact else defect / scale
-    return EigenpairCertificate(eigenvalue, xs, VARIANT_H, residual, exact, tol,
+    return EigenpairCertificate(eigenvalue, xs, VARIANT_H, residual, exact,
                                 residual <= tol)
 
 
-def verify_z_eigenpair(view: TensorView, eigenvalue: Number, x: Sequence[Number],
+def verify_z_eigenpair(view: HypergraphView, eigenvalue: Number, x: Sequence[Number],
                        tol: float = DEFAULT_TOL) -> EigenpairCertificate:
     """Check T x^{m-1} = lambda * x together with the normalization x'x = 1.
 
-    residual = max(||T x^{m-1} - lambda * x||_inf, |x'x - 1|).
+    residual = max(||T x^{m-1} - lambda * x||_inf, |x'x - 1|), with the
+    same finiteness rules as ``verify_h_eigenpair``.
     """
-    xs = _checked_vector(view, x)
+    xs = _checked_vector(view, eigenvalue, x)
     exact = view.is_exact and is_exact_scalar(eigenvalue) and all(map(is_exact_scalar, xs))
     y = apply(view, xs)
     defect: Number = 0
     for yi, xi in zip(y, xs):
         d = abs(yi - eigenvalue * xi)
-        if d > defect:
+        if d > defect or d != d:
             defect = d
     norm_defect = abs(sum(xi * xi for xi in xs) - 1)
     residual = max(defect, norm_defect)
     if exact:
         residual = Fraction(residual)
-    return EigenpairCertificate(eigenvalue, xs, VARIANT_Z, residual, exact, tol,
+    return EigenpairCertificate(eigenvalue, xs, VARIANT_Z, residual, exact,
                                 residual <= tol)
 
 
@@ -279,7 +273,7 @@ class _Anderson:
         self.dfs.append([a - b for a, b in zip(fx, last_f)])
 
 
-def perron(view: TensorView, tol: float = PERRON_TOL,
+def perron(view: HypergraphView, tol: float = PERRON_TOL,
            max_iter: int = MAX_ITER) -> PerronResult:
     """Spectral radius and positive eigenvector of a nonnegative weakly
     irreducible tensor by an Anderson-accelerated shifted power iteration.
@@ -301,8 +295,9 @@ def perron(view: TensorView, tol: float = PERRON_TOL,
 
     The returned vector is entrywise positive with maximum 1, and the pair
     passes verify_h_eigenpair at tolerance 10*tol. Raises NotIrreducible
-    when the support digraph is not strongly connected, NoConvergence (with
-    the last bracket) when max_iter is hit or the verification fails.
+    when the hypergraph is not connected, NotNonnegative for a view with a
+    negative entry, and NoConvergence (with the last bracket) when max_iter
+    is hit or the verification fails.
     """
     if not is_weakly_irreducible(view):
         raise NotIrreducible("power iteration requires a weakly irreducible tensor")
@@ -352,7 +347,7 @@ def _indicator_certificates(size: int, h: int, k: int, tol: float
     rounded once to float when c is; both are accepted unrounded.
     """
     residual = Fraction(h)
-    h_cert = EigenpairCertificate(0, (1,) * size, VARIANT_H, residual, True, tol,
+    h_cert = EigenpairCertificate(0, (1,) * size, VARIANT_H, residual, True,
                                   residual <= tol)
     root = isqrt(size)
     exact = root * root == size
@@ -360,7 +355,7 @@ def _indicator_certificates(size: int, h: int, k: int, tol: float
     c = Fraction(entry)
     defect = max(c ** (k - 1) * h, abs(size * c * c - 1))
     z_cert = EigenpairCertificate(0, (entry,) * size, VARIANT_Z,
-                                  defect if exact else float(defect), exact, tol,
+                                  defect if exact else float(defect), exact,
                                   defect <= tol)
     return h_cert, z_cert
 
@@ -434,32 +429,3 @@ def rho_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityRep
     if report.regular_degree is None:
         raise NotRegular("beta_rho is defined for regular hypergraphs only")
     return replace(report, certificates=report.rho_certificates)
-
-
-_SIGN_PATTERNS_4 = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
-
-
-def signed_null_vectors_demo(g: Hypergraph,
-                             candidates: Sequence[Sequence[Number]] | None = None,
-                             tol: float = DEFAULT_TOL) -> SignedNullVectorsDemo:
-    """Contrast beta with the count of linearly independent signed null
-    eigenvectors.
-
-    Each candidate is checked as a 0-eigenvector of the Laplacian tensor;
-    failures are listed as rejected rather than raising. With no explicit
-    candidates and n = 4 the four sign patterns (1,1,1,1), (1,1,-1,-1),
-    (1,-1,1,-1), (1,-1,-1,1) are used; on the single-edge 4-uniform
-    hypergraph all four verify exactly while beta is 1.
-    """
-    if candidates is None:
-        if g.n != 4:
-            raise ValueError("default sign patterns need n=4; pass candidates explicitly")
-        candidates = _SIGN_PATTERNS_4
-    lap = laplacian(g)
-    accepted: list[EigenpairCertificate] = []
-    rejected: list[EigenpairCertificate] = []
-    for candidate in candidates:
-        certificate = verify_h_eigenpair(lap, 0, candidate, tol)
-        (accepted if certificate.accepted else rejected).append(certificate)
-    beta = geometry_connectivity(g, tol).beta
-    return SignedNullVectorsDemo(tuple(accepted), tuple(rejected), beta)

@@ -1,5 +1,5 @@
-"""Tensor engine: implicit hypergraph tensors, explicit sparse tensors,
-support digraphs and weak irreducibility.
+"""Tensor engine: the tensors of a k-uniform hypergraph as implicit views,
+their contraction and their weak irreducibility.
 
 The adjacency tensor of a k-uniform hypergraph has entry 1/(k-1)! on every
 permutation of each edge's vertex tuple, the Laplacian is D - A with D the
@@ -34,7 +34,8 @@ def is_exact_scalar(value) -> bool:
 
 @dataclass(frozen=True)
 class SparseTensor:
-    """Order-m, dimension-n tensor in coordinate form.
+    """Order-m, dimension-n tensor in coordinate form, the input of
+    ``support_digraph``.
 
     ``entries`` maps index tuples (1-based, length ``order``) to nonzero
     finite values; absent tuples are zero. Explicit zeros are dropped at
@@ -109,29 +110,6 @@ class HypergraphView:
         return tuple(tuple(v - 1 for v in e) for e in self.graph.edges)
 
 
-@dataclass(frozen=True)
-class ExplicitView:
-    """A generic tensor given by its coordinate form."""
-
-    tensor: SparseTensor
-    kind: str = field(default="explicit", compare=False)
-
-    @property
-    def order(self) -> int:
-        return self.tensor.order
-
-    @property
-    def dim(self) -> int:
-        return self.tensor.dim
-
-    @property
-    def is_exact(self) -> bool:
-        return self.tensor.is_exact
-
-
-TensorView = Union[HypergraphView, ExplicitView]
-
-
 def adjacency(g: Hypergraph) -> HypergraphView:
     """Adjacency tensor view A_G."""
     return HypergraphView(g, (0,) * g.n, 1, "adjacency")
@@ -154,15 +132,8 @@ def shifted_laplacian(g: Hypergraph, shift: int | None = None) -> HypergraphView
     return HypergraphView(g, tuple(shift - d for d in degs), 1, "shifted_laplacian")
 
 
-def explicit(t: SparseTensor) -> ExplicitView:
-    """Wrap a SparseTensor for use with the view operations."""
-    return ExplicitView(t)
-
-
-def apply(view: TensorView, x: Sequence[Number]) -> list[Number]:
-    """Contract the tensor against a vector: returns T x^{m-1}.
-
-    For hypergraph-derived views entry i is
+def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
+    """Contract the tensor against a vector: returns T x^{k-1}, whose entry i is
 
         c_i * x_i^{k-1} + sign * sum_{e containing i} prod_{j in e, j != i} x_j
 
@@ -173,12 +144,6 @@ def apply(view: TensorView, x: Sequence[Number]) -> list[Number]:
     xs = list(x)
     if len(xs) != view.dim:
         raise DimensionError(f"vector has length {len(xs)}, tensor dimension is {view.dim}")
-    if isinstance(view, HypergraphView):
-        return _apply_hypergraph(view, xs)
-    return _apply_explicit(view.tensor, xs)
-
-
-def _apply_hypergraph(view: HypergraphView, xs: list[Number]) -> list[Number]:
     power = view.graph.k - 1
     out = [c * (v ** power) for c, v in zip(view.diagonal, xs)]
     sign = view.sign
@@ -197,22 +162,14 @@ def _apply_hypergraph(view: HypergraphView, xs: list[Number]) -> list[Number]:
     return out
 
 
-def _apply_explicit(t: SparseTensor, xs: list[Number]) -> list[Number]:
-    out: list[Number] = [0] * t.dim
-    for index, value in t.entries.items():
-        term = value
-        for j in index[1:]:
-            term = term * xs[j - 1]
-        out[index[0] - 1] = out[index[0] - 1] + term
-    return out
-
-
 def support_digraph(t: SparseTensor) -> dict[int, tuple[int, ...]]:
     """Directed graph with an arc (i, j) for every positive entry t_{i i2..im}
     and every j among i2..im. Requires an entrywise nonnegative tensor.
 
     A hypergraph tensor's digraph (O(k^2*m) arcs) is strongly connected iff
-    the hypergraph is; ``is_weakly_irreducible`` decides that in O(k*m + n).
+    the hypergraph is; ``is_weakly_irreducible`` decides that in O(k*m + n)
+    without building it. No command calls this; it stays because the
+    benchmark's tracer counts its arcs by name.
     """
     successors: dict[int, set[int]] = {i: set() for i in range(1, t.dim + 1)}
     for index, value in t.entries.items():
@@ -222,73 +179,18 @@ def support_digraph(t: SparseTensor) -> dict[int, tuple[int, ...]]:
     return {i: tuple(sorted(s)) for i, s in successors.items()}
 
 
-def strongly_connected_components(
-        graph: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
-    """Strongly connected components of a digraph given as adjacency lists.
+def is_weakly_irreducible(view: HypergraphView) -> bool:
+    """True when the nonnegative view is weakly irreducible, that is when
+    its support digraph is strongly connected; a 1-dimensional tensor with
+    no arcs counts as such, so a single-vertex hypergraph is consistent
+    with being connected.
 
-    Iterative Tarjan. Each component is a sorted tuple and the components
-    are listed by smallest member, so the output is deterministic.
-    """
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    result: list[tuple[int, ...]] = []
-    counter = 0
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, next_succ = work[-1]
-            if next_succ == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            descended = False
-            successors = graph[node]
-            for pos in range(next_succ, len(successors)):
-                succ = successors[pos]
-                if succ not in index:
-                    work[-1] = (node, pos + 1)
-                    work.append((succ, 0))
-                    descended = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if descended:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                result.append(tuple(sorted(component)))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    result.sort()
-    return result
-
-
-def is_weakly_irreducible(view: TensorView) -> bool:
-    """True when the support digraph of a nonnegative tensor is strongly
-    connected; a 1-dimensional tensor with no arcs counts as such, so a
-    single-vertex hypergraph is consistent with being connected.
-
-    A hypergraph view's support links every two members of an edge both
-    ways, so this is connectivity (Pearson and Zhang, Graphs Combin. 30,
+    The support links every two members of an edge both ways, so this is
+    connectivity of the hypergraph (Pearson and Zhang, Graphs Combin. 30,
     2014), decided by one incidence breadth-first search in O(k*m + n).
     A Laplacian view with an edge, or a negative diagonal entry, raises
-    NotNonnegative. An explicit view runs Tarjan on its ``support_digraph``.
+    NotNonnegative.
     """
-    if isinstance(view, ExplicitView):
-        return len(strongly_connected_components(support_digraph(view.tensor))) == 1
     if view.sign < 0 and view.graph.m > 0:
         raise NotNonnegative(f"{view.kind} view has negative off-diagonal entries")
     for i, c in enumerate(view.diagonal, start=1):

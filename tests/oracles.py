@@ -1,12 +1,16 @@
 """Independent reference computations the library results are checked
 against. Nothing here goes through the implicit contraction kernel or the
-BFS decomposition."""
+BFS decomposition. Weak irreducibility is checked the way it is defined:
+``support_digraph_of`` builds the support digraph of materialized tensor
+entries and ``strongly_connected_components`` (iterative Tarjan) splits it;
+the library itself only runs a breadth-first search."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
 from math import cos, factorial, pi
+from typing import Mapping, Sequence
 
 from geoconn import Hypergraph
 
@@ -70,6 +74,76 @@ def dense_apply(entries: dict[tuple[int, ...], Fraction], dim: int, x) -> list:
             term = term * x[j - 1]
         out[index[0] - 1] = out[index[0] - 1] + term
     return out
+
+
+def support_digraph_of(entries: Mapping[tuple[int, ...], Fraction],
+                       dim: int) -> dict[int, tuple[int, ...]]:
+    """Arcs (i, j) for every entry t_{i i2..im} and every j among i2..im, on
+    vertices 1..dim; the entries must be positive (absent ones are zero)."""
+    successors: dict[int, set[int]] = {i: set() for i in range(1, dim + 1)}
+    for index, value in entries.items():
+        assert value > 0, f"entry {index} is not positive: {value}"
+        successors[index[0]].update(index[1:])
+    return {i: tuple(sorted(s)) for i, s in successors.items()}
+
+
+def strongly_connected_components(
+        graph: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
+    """Strongly connected components of a digraph given as adjacency lists.
+
+    Iterative Tarjan. Each component is a sorted tuple and the components
+    are listed by smallest member, so the output is deterministic.
+    """
+    index: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    result: list[tuple[int, ...]] = []
+    counter = 0
+    for root in sorted(graph):
+        if root in index:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            node, next_succ = work[-1]
+            if next_succ == 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            descended = False
+            successors = graph[node]
+            for pos in range(next_succ, len(successors)):
+                succ = successors[pos]
+                if succ not in index:
+                    work[-1] = (node, pos + 1)
+                    work.append((succ, 0))
+                    descended = True
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            if descended:
+                continue
+            work.pop()
+            if lowlink[node] == index[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                result.append(tuple(sorted(component)))
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    result.sort()
+    return result
+
+
+def strongly_connected(entries: Mapping[tuple[int, ...], Fraction], dim: int) -> bool:
+    """Weak irreducibility of a nonnegative tensor by its definition."""
+    return len(strongly_connected_components(support_digraph_of(entries, dim))) == 1
 
 
 def loose_path_spectral_radius(length: int, k: int = 3) -> float:

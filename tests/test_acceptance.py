@@ -15,19 +15,17 @@ import time
 from fractions import Fraction
 
 from geoconn import (
-    SparseTensor,
     adjacency,
     apply,
     connected_components,
     construct,
     degrees,
-    explicit,
     geometry_connectivity,
     is_weakly_irreducible,
     laplacian,
     perron,
     shifted_laplacian,
-    signed_null_vectors_demo,
+    verify_h_eigenpair,
     z_geometry_connectivity,
 )
 
@@ -42,6 +40,7 @@ from oracles import (
     laplacian_entries,
     laplacian_matrix,
     rational_nullity,
+    strongly_connected,
     union_find_components,
 )
 
@@ -49,7 +48,8 @@ _SUITE_RNG = random.Random(20240811)
 SUITE = [random_hypergraph(_SUITE_RNG) for _ in range(500)]
 
 SINGLE_EDGE_4 = construct(4, 4, [(1, 2, 3, 4)])
-SIGNED_COUNT = 4
+SIGNED_PATTERNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+SIGNED_COUNT = len(SIGNED_PATTERNS)
 CITED_NULL_MULTIPLICITY = 16  # documented constant, not recomputed
 
 
@@ -79,14 +79,17 @@ def test_acceptance_1_beta_counts_components_with_exact_certificates():
 
 
 def test_acceptance_2_signed_null_vector_contrast_fixture():
-    demo = signed_null_vectors_demo(SINGLE_EDGE_4)
-    all_accepted = (demo.independent_count == SIGNED_COUNT and demo.rejected == ()
-                    and all(c.exact and c.residual == 0 for c in demo.accepted))
-    contrast = (demo.beta == 1 and demo.beta != SIGNED_COUNT
-                and demo.beta != CITED_NULL_MULTIPLICITY)
+    lap = laplacian(SINGLE_EDGE_4)
+    signed = [verify_h_eigenpair(lap, 0, x) for x in SIGNED_PATTERNS]
+    independent = rational_nullity([[Fraction(v) for v in x] for x in SIGNED_PATTERNS]) == 0
+    all_accepted = independent and all(c.accepted and c.exact and c.residual == 0
+                                       for c in signed)
+    beta = geometry_connectivity(SINGLE_EDGE_4).beta
+    contrast = (beta == 1 and beta != SIGNED_COUNT
+                and beta != CITED_NULL_MULTIPLICITY)
     ok = all_accepted and contrast
     _line(2, ok, "single-edge 4-uniform fixture: four exact signed null "
-          f"vectors, beta = {demo.beta} (vs {SIGNED_COUNT} signed, "
+          f"vectors, beta = {beta} (vs {SIGNED_COUNT} signed, "
           f"{CITED_NULL_MULTIPLICITY} cited multiplicity)")
     assert ok
 
@@ -95,14 +98,13 @@ def test_acceptance_3_weak_irreducibility_iff_connected():
     mismatches = sum(
         1 for g in SUITE
         if is_weakly_irreducible(adjacency(g)) != (connected_components(g).count == 1))
-    # Tarjan on the materialized tensor, independent of the BFS
+    # the library's BFS verdict against oracle Tarjan on the materialized tensor
     tarjan_mismatches = sum(
         1 for g in SUITE
-        if is_weakly_irreducible(explicit(SparseTensor(g.k, g.n, adjacency_entries(g))))
-        != (union_find_components(g) == 1))
+        if is_weakly_irreducible(adjacency(g)) != strongly_connected(adjacency_entries(g), g.n))
     ok = mismatches == tarjan_mismatches == 0
-    _line(3, ok, f"weak irreducibility of the adjacency tensor, implicit and "
-          f"materialized, matches connectivity on all {len(SUITE)} instances")
+    _line(3, ok, f"weak irreducibility of the adjacency tensor matches connectivity "
+          f"and oracle Tarjan on the materialized tensor on all {len(SUITE)} instances")
     assert mismatches == 0
     assert tarjan_mismatches == 0
 

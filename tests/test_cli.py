@@ -96,7 +96,7 @@ def test_parse_scalar_forms():
     assert parse_scalar("-2/5") == Fraction(-2, 5)
     assert parse_scalar("0.5") == 0.5 and isinstance(parse_scalar("0.5"), float)
     assert parse_scalar("1e-3") == 1e-3
-    for bad in ("abc", "1/0", "1//2", "0x3"):
+    for bad in ("abc", "1/0", "1//2", "0x3", "nan", "inf", "-inf", "1e400"):
         with pytest.raises(ParseError):
             parse_scalar(bad)
 
@@ -146,6 +146,22 @@ def test_verify_accepts_and_rejects(tmp_path, capsys):
     bad = write(tmp_path, "bad.vec", "1\n1\n1\n-1\n")
     assert run(["verify", g, "--vector", bad, "--lambda", "0"]) == EXIT_MISMATCH
     assert capsys.readouterr().out.startswith("REJECTED")
+
+
+def test_verify_refuses_non_finite_numbers(tmp_path, capsys):
+    # all but the inf vector used to print ACCEPTED: the defect loop skipped NaN
+    g = write(tmp_path, "p.hg", "2 3 2\n1 2\n2 3\n")
+    ones = write(tmp_path, "ones.vec", "1\n1\n1\n")
+    cases = [("1\nnan\n1\n", ["--lambda", "0"], ":2: number 'nan' is not finite"),
+             ("inf\n1\n1\n", ["--lambda", "0"], ":1: number 'inf' is not finite"),
+             (None, ["--lambda", "nan"], "--lambda: number 'nan' is not finite"),
+             ("nan\n1\n1\n", ["--lambda", "0", "--z"], ":1: number 'nan' is not finite")]
+    for text, extra, message in cases:
+        vector = write(tmp_path, "v.vec", text) if text else ones
+        assert run(["verify", g, "--vector", vector] + extra) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_verify_tensor_choices_and_z(tmp_path, capsys):

@@ -26,7 +26,6 @@ from geoconn import (
     perron,
     rho_connectivity,
     shifted_laplacian,
-    signed_null_vectors_demo,
     verify_h_eigenpair,
     verify_z_eigenpair,
     z_geometry_connectivity,
@@ -44,6 +43,7 @@ from oracles import (
     dense_apply,
     loose_path_spectral_radius,
     power_iteration,
+    rational_nullity,
     union_find_components,
 )
 
@@ -98,6 +98,20 @@ def test_verify_h_small_vectors_use_unit_scale_floor():
     cert = verify_h_eigenpair(lap, 0, (Fraction(1, 10 ** 6), 0))
     assert cert.residual == Fraction(1, 10 ** 6)
     assert not cert.accepted
+
+
+def test_verify_refuses_non_finite_numbers():
+    lap = laplacian(construct(3, 2, [(1, 2), (2, 3)]))
+    nan, inf = float("nan"), float("inf")
+    for verify in (verify_h_eigenpair, verify_z_eigenpair):
+        for eigenvalue, x in ((0, (1, nan, 1)), (0, (inf, 1, 1)), (nan, (1, 1, 1))):
+            with pytest.raises(ValueError, match="not finite"):
+                verify(lap, eigenvalue, x)
+    # finite input whose check overflows: inf - inf is NaN, which rejects
+    g = construct(4, 3, [(1, 2, 3), (2, 3, 4), (3, 4, 1), (4, 1, 2)])
+    cert = verify_h_eigenpair(laplacian(g), 2, (1.3e154,) * 4)
+    assert math.isnan(cert.residual) and not cert.accepted
+    assert not verify_h_eigenpair(laplacian(g), 2, (1,) * 4).accepted
 
 
 def test_verify_z_unit_indicator_is_exact_on_squares():
@@ -177,8 +191,8 @@ def test_perron_pair_passes_verification():
 
 
 def test_perron_explicit_permutation_matrix():
-    from geoconn import SparseTensor, explicit
-    swap = explicit(SparseTensor(2, 2, {(1, 2): 1, (2, 1): 1}))
+    # the adjacency matrix of one edge is the swap [[0, 1], [1, 0]]
+    swap = adjacency(construct(2, 2, [(1, 2)]))
     result = perron(swap)
     assert abs(result.rho - 1.0) <= 1e-9
     assert result.vector == (1.0, 1.0)
@@ -520,35 +534,32 @@ def test_beta_is_invariant_under_relabeling():
 
 
 def test_signed_demo_single_edge_fixture():
-    demo = signed_null_vectors_demo(SINGLE_EDGE_4)
-    assert demo.independent_count == 4
-    assert demo.rejected == ()
-    assert demo.beta == 1
-    for cert in demo.accepted:
-        assert cert.exact and cert.residual == 0
+    # four linearly independent signed null vectors, yet beta is 1
+    lap = laplacian(SINGLE_EDGE_4)
+    for x in SIGNED:
+        cert = verify_h_eigenpair(lap, 0, x)
+        assert cert.accepted and cert.exact and cert.residual == 0
+    assert rational_nullity([[Fraction(v) for v in x] for x in SIGNED]) == 0
+    assert geometry_connectivity(SINGLE_EDGE_4).beta == 1
 
 
 def test_signed_demo_extra_candidate_rejected_with_unit_residual():
-    candidates = list(SIGNED) + [(1, 0, 0, 0)]
-    demo = signed_null_vectors_demo(SINGLE_EDGE_4, candidates=candidates)
-    assert demo.independent_count == 4
-    assert len(demo.rejected) == 1
-    assert demo.rejected[0].residual == 1
+    cert = verify_h_eigenpair(laplacian(SINGLE_EDGE_4), 0, (1, 0, 0, 0))
+    assert not cert.accepted
+    assert cert.residual == 1
 
 
 def test_signed_demo_rejects_non_null_candidates():
     # complete graph K4: only the constant pattern is a null vector
     k4 = construct(4, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-    demo = signed_null_vectors_demo(k4)
-    assert demo.independent_count == 1
-    assert len(demo.rejected) == 3
-    assert demo.beta == 1
+    accepted = [verify_h_eigenpair(laplacian(k4), 0, x).accepted for x in SIGNED]
+    assert accepted == [True, False, False, False]
+    assert geometry_connectivity(k4).beta == 1
 
 
 def test_signed_demo_needs_candidates_when_n_is_not_4():
     g = construct(3, 3, [(1, 2, 3)])
-    with pytest.raises(ValueError):
-        signed_null_vectors_demo(g)
-    demo = signed_null_vectors_demo(g, candidates=[(1, 1, 1), (1, -1, 0)])
-    assert demo.independent_count == 1
-    assert len(demo.rejected) == 1
+    with pytest.raises(DimensionError):
+        verify_h_eigenpair(laplacian(g), 0, SIGNED[1])
+    assert verify_h_eigenpair(laplacian(g), 0, (1, 1, 1)).accepted
+    assert not verify_h_eigenpair(laplacian(g), 0, (1, -1, 0)).accepted

@@ -13,13 +13,11 @@ from geoconn import (
     apply,
     construct,
     degrees,
-    explicit,
     is_weakly_irreducible,
     laplacian,
     shifted_laplacian,
     support_digraph,
 )
-from geoconn.tensor import strongly_connected_components
 
 from generators import connected_hypergraph, random_hypergraph
 from oracles import (
@@ -27,6 +25,8 @@ from oracles import (
     dense_apply,
     laplacian_entries,
     shifted_laplacian_entries,
+    strongly_connected,
+    strongly_connected_components,
     union_find_components,
 )
 
@@ -156,8 +156,6 @@ def test_support_digraph_shifted_laplacian_adds_self_loops():
 def test_support_digraph_rejects_negative_tensors():
     with pytest.raises(NotNonnegative):
         support_digraph(SparseTensor(2, 2, {(1, 2): -1}))
-    with pytest.raises(NotNonnegative):
-        is_weakly_irreducible(explicit(SparseTensor(2, 2, {(1, 2): -1})))
     # hypergraph views are checked structurally, without a digraph
     g = construct(3, 2, [(1, 2)])
     with pytest.raises(NotNonnegative, match="negative off-diagonal entries"):
@@ -176,6 +174,11 @@ def test_strongly_connected_components_knowns():
     path = {1: (2,), 2: (3,), 3: ()}
     assert strongly_connected_components(path) == [(1,), (2,), (3,)]
     assert strongly_connected_components({1: ()}) == [(1,)]
+    # two cycles joined by the single arc 3 -> 4 stay two components
+    joined = {1: (2,), 2: (3,), 3: (1, 4), 4: (5,), 5: (4,)}
+    assert strongly_connected_components(joined) == [(1, 2, 3), (4, 5)]
+    joined[5] = (4, 1)  # a return arc merges them
+    assert strongly_connected_components(joined) == [(1, 2, 3, 4, 5)]
 
 
 def test_strongly_connected_components_is_iterative():
@@ -186,7 +189,8 @@ def test_strongly_connected_components_is_iterative():
 
 
 def test_weak_irreducibility_matches_connectivity():
-    # the BFS verdict on hypergraph views against Tarjan on their materializations
+    # the BFS verdict on hypergraph views against oracle Tarjan on their
+    # materialized entries
     rng = random.Random(909)
     graphs = [random_hypergraph(rng) for _ in range(200)]
     graphs += [connected_hypergraph(rng) for _ in range(50)]
@@ -196,5 +200,5 @@ def test_weak_irreducibility_matches_connectivity():
                  (shifted_laplacian(g), shifted_laplacian_entries(g, max(degrees(g)))))
         for view, entries in views:
             assert is_weakly_irreducible(view) == expected
-            assert is_weakly_irreducible(explicit(SparseTensor(g.k, g.n, entries))) == expected
+            assert strongly_connected(entries, g.n) == expected
     assert all(is_weakly_irreducible(adjacency(g)) for g in graphs[200:])
