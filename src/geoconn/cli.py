@@ -127,25 +127,15 @@ def parse_vector(text: str) -> list[Number]:
     return values
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """parse() of the file's text, with ``path:line`` before a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-
-
-def load_hypergraph(path: str) -> Hypergraph:
     try:
-        return parse_hypergraph(_read(path))
-    except ParseError as exc:
-        location = f"{path}:{exc.line}" if exc.line is not None else path
-        raise ParseError(f"{location}: {exc}", line=exc.line) from None
-
-
-def load_vector(path: str) -> list[Number]:
-    try:
-        return parse_vector(_read(path))
+        return parse(text)
     except ParseError as exc:
         location = f"{path}:{exc.line}" if exc.line is not None else path
         raise ParseError(f"{location}: {exc}", line=exc.line) from None
@@ -257,7 +247,7 @@ def _union_find_count(g: Hypergraph) -> int:
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
-    g = load_hypergraph(args.hypergraph)
+    g = _load(args.hypergraph, parse_hypergraph)
     decomposition = connected_components(g)
     if args.format == "json":
         document = {
@@ -274,7 +264,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta(args: argparse.Namespace) -> int:
-    g = load_hypergraph(args.hypergraph)
+    g = _load(args.hypergraph, parse_hypergraph)
     report = geometry_connectivity(g, tol=args.tol)
     if args.z:
         label, value, certificates = "beta_z", report.beta_z, report.z_certificates
@@ -300,7 +290,7 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 
 def _cmd_perron(args: argparse.Namespace) -> int:
-    g = load_hypergraph(args.hypergraph)
+    g = _load(args.hypergraph, parse_hypergraph)
     result = perron(TENSOR_VIEWS[args.tensor](g), tol=args.tol, max_iter=args.max_iter)
     if args.format == "json":
         document = {
@@ -321,8 +311,8 @@ def _cmd_perron(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = load_hypergraph(args.hypergraph)
-    x = load_vector(args.vector)
+    g = _load(args.hypergraph, parse_hypergraph)
+    x = _load(args.vector, parse_vector)
     try:
         lam = parse_scalar(args.lam)
     except ParseError as exc:
@@ -345,7 +335,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g = load_hypergraph(args.hypergraph)
+    g = _load(args.hypergraph, parse_hypergraph)
     report = geometry_connectivity(g, tol=args.tol)
     expected = _union_find_count(g)
     checks = [
@@ -365,7 +355,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    g = load_hypergraph(args.hypergraph)
+    g = _load(args.hypergraph, parse_hypergraph)
     report = geometry_connectivity(g, tol=args.tol)
     _emit(json.dumps(_report_document(g, args.hypergraph, report), indent=2), args.out)
     certificates = (report.certificates + report.z_certificates
@@ -428,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol(sub, strict=True)  # its stop rule upper - lower < tol never holds at 0
     _add_max_iter(sub)
     _add_format(sub)
-    sub.add_argument("--tensor", choices=TENSOR_VIEWS, default="adjacency",
-                     help="tensor to iterate on (default adjacency)")
+    # a Laplacian with an edge has negative entries; one without is connected only at n = 1
+    sub.add_argument("--tensor", choices=("adjacency", "laplacian-shifted"),
+                     default="adjacency", help="tensor to iterate on (default adjacency)")
 
     sub = commands.add_parser("verify", help="check a candidate eigenpair")
     _add_common(sub)

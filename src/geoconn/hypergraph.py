@@ -75,12 +75,10 @@ class ComponentDecomposition:
     """Partition of the vertices into connected components.
 
     ``parts`` lists the components by smallest member ascending, each part
-    sorted ascending. ``edge_assignment[j]`` is the index into ``parts`` of
-    the unique part containing edge j (edges never straddle parts).
+    sorted ascending; every edge lies inside one part.
     """
 
     parts: tuple[tuple[int, ...], ...]
-    edge_assignment: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -121,7 +119,6 @@ def connected_components(g: Hypergraph) -> ComponentDecomposition:
     seen_vertex = [False] * (g.n + 1)
     seen_edge = [False] * g.m
     parts: list[tuple[int, ...]] = []
-    part_of_vertex = [0] * (g.n + 1)
     for start in range(1, g.n + 1):
         if seen_vertex[start]:
             continue
@@ -139,12 +136,8 @@ def connected_components(g: Hypergraph) -> ComponentDecomposition:
                     if not seen_vertex[u]:
                         seen_vertex[u] = True
                         queue.append(u)
-        index = len(parts)
-        for v in members:
-            part_of_vertex[v] = index
         parts.append(tuple(sorted(members)))
-    assignment = tuple(part_of_vertex[edge[0]] for edge in g.edges)
-    return ComponentDecomposition(tuple(parts), assignment)
+    return ComponentDecomposition(tuple(parts))
 
 
 def induced(g: Hypergraph, subset: Iterable[int]) -> tuple[Hypergraph, dict[int, int]]:

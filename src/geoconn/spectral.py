@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import isfinite, isqrt, sqrt
+from math import isfinite, isqrt, nan, sqrt
 from typing import Sequence
 
 from .errors import (
@@ -145,6 +145,35 @@ def _checked_vector(view: HypergraphView, eigenvalue: Number,
     return xs
 
 
+def _verify(view: HypergraphView, eigenvalue: Number, x: Sequence[Number],
+            tol: float, variant: str) -> EigenpairCertificate:
+    """The check behind ``verify_h_eigenpair`` and ``verify_z_eigenpair``:
+    one contraction y = T x^{m-1} and one max-norm defect of y - lambda*x^{[p]}
+    that keeps NaN, with p = m-1 for H and 1 for Z; only the normalization
+    differs (see the two docstrings). A float OverflowError anywhere in the
+    check gives a NaN residual, so the certificate is rejected."""
+    xs = _checked_vector(view, eigenvalue, x)
+    exact = view.is_exact and is_exact_scalar(eigenvalue) and all(map(is_exact_scalar, xs))
+    power = view.order - 1 if variant == VARIANT_H else 1
+    try:
+        defect: Number = 0
+        for yi, xi in zip(apply(view, xs), xs):
+            d = abs(yi - eigenvalue * (xi ** power))
+            if d > defect or d != d:  # float overflow gives NaN, which must reject
+                defect = d
+        if variant == VARIANT_H:
+            scale = max(max(abs(xi) for xi in xs) ** power, 1)
+            residual = Fraction(defect, scale) if exact else defect / scale
+        else:
+            residual = max(defect, abs(sum(xi * xi for xi in xs) - 1))
+            if exact:
+                residual = Fraction(residual)
+    except OverflowError:
+        residual = nan
+    return EigenpairCertificate(eigenvalue, xs, variant, residual, exact,
+                                residual <= tol)
+
+
 def verify_h_eigenpair(view: HypergraphView, eigenvalue: Number, x: Sequence[Number],
                        tol: float = DEFAULT_TOL) -> EigenpairCertificate:
     """Check T x^{m-1} = lambda * x^{[m-1]}.
@@ -154,21 +183,7 @@ def verify_h_eigenpair(view: HypergraphView, eigenvalue: Number, x: Sequence[Num
     exact. Raises ValueError when the eigenvalue or an entry is not finite;
     a float overflow inside the check gives a NaN residual, which rejects.
     """
-    xs = _checked_vector(view, eigenvalue, x)
-    exact = view.is_exact and is_exact_scalar(eigenvalue) and all(map(is_exact_scalar, xs))
-    power = view.order - 1
-    y = apply(view, xs)
-    defect: Number = 0
-    for yi, xi in zip(y, xs):
-        d = abs(yi - eigenvalue * (xi ** power))
-        if d > defect or d != d:  # float overflow gives NaN, which must reject
-            defect = d
-    scale = max(abs(xi) for xi in xs) ** power
-    if scale < 1:
-        scale = 1
-    residual = Fraction(defect, scale) if exact else defect / scale
-    return EigenpairCertificate(eigenvalue, xs, VARIANT_H, residual, exact,
-                                residual <= tol)
+    return _verify(view, eigenvalue, x, tol, VARIANT_H)
 
 
 def verify_z_eigenpair(view: HypergraphView, eigenvalue: Number, x: Sequence[Number],
@@ -178,20 +193,7 @@ def verify_z_eigenpair(view: HypergraphView, eigenvalue: Number, x: Sequence[Num
     residual = max(||T x^{m-1} - lambda * x||_inf, |x'x - 1|), with the
     same finiteness rules as ``verify_h_eigenpair``.
     """
-    xs = _checked_vector(view, eigenvalue, x)
-    exact = view.is_exact and is_exact_scalar(eigenvalue) and all(map(is_exact_scalar, xs))
-    y = apply(view, xs)
-    defect: Number = 0
-    for yi, xi in zip(y, xs):
-        d = abs(yi - eigenvalue * xi)
-        if d > defect or d != d:
-            defect = d
-    norm_defect = abs(sum(xi * xi for xi in xs) - 1)
-    residual = max(defect, norm_defect)
-    if exact:
-        residual = Fraction(residual)
-    return EigenpairCertificate(eigenvalue, xs, VARIANT_Z, residual, exact,
-                                residual <= tol)
+    return _verify(view, eigenvalue, x, tol, VARIANT_Z)
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -364,22 +366,29 @@ def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connectivi
     """Compute beta(G), beta_Z(G) and, for a regular input, beta_rho(G),
     with certificates, in one O(n + k*m) pass.
 
-    Raises ValueError naming the first edge with a member outside its
-    assigned part. Every part C is then closed under edges, so the one
-    exact integer contraction y = L*1 of the whole hypergraph gives each
-    indicator's H residual, max |y_i| over C, and from it the Z residual
-    (``_indicator_certificates``). On a d-regular input L = d*I - A gives
-    A*1 - d*1 = -L*1, so the H certificates restate as eigenpairs of the
-    adjacency tensor at d with the same residual. The betas count the
-    accepted certificates, so a rejected one lowers them below r.
+    The parts of ``connected_components`` are checked first: ValueError
+    names a vertex that lies in no part or in two, or else the first edge
+    whose members lie in different parts. Every part C is then closed under
+    edges, so the one exact integer contraction y = L*1 of the whole
+    hypergraph gives each indicator's H residual, max |y_i| over C, and
+    from it the Z residual (``_indicator_certificates``). On a d-regular
+    input L = d*I - A gives A*1 - d*1 = -L*1, so the H certificates restate
+    as eigenpairs of the adjacency tensor at d with the same residual. The
+    betas count the accepted certificates, so a rejected one lowers them
+    below r.
     """
     decomposition = connected_components(g)
     parts = decomposition.parts
     owner = [-1] * (g.n + 1)
     for index, part in enumerate(parts):
         for v in part:
+            if owner[v] >= 0:
+                raise ValueError(f"vertex {v} lies in parts {owner[v] + 1} and {index + 1}")
             owner[v] = index
-    for j, (edge, index) in enumerate(zip(g.edges, decomposition.edge_assignment)):
+    if -1 in owner[1:]:
+        raise ValueError(f"vertex {owner.index(-1, 1)} lies in no part")
+    for j, edge in enumerate(g.edges):
+        index = owner[edge[0]]
         for v in edge:
             if owner[v] != index:
                 raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from geoconn import ParseError
+from geoconn import NotNonnegative, ParseError, laplacian, perron
 from geoconn.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -164,6 +164,20 @@ def test_verify_refuses_non_finite_numbers(tmp_path, capsys):
         assert message in captured.err
 
 
+def test_verify_rejects_a_check_that_overflows(tmp_path, capsys):
+    # each of these used to end in an OverflowError traceback
+    g = write(tmp_path, "e.hg", "3 3 1\n1 2 3\n")
+    cases = [("1e200\n1\n1\n", "0"), (f"{10 ** 400}\n1\n1\n", "0.5")]
+    for text, lam in cases:
+        vector = write(tmp_path, "v.vec", text)
+        for extra in ([], ["--z"]):
+            argv = ["verify", g, "--vector", vector, "--lambda", lam] + extra
+            assert run(argv) == EXIT_MISMATCH
+            captured = capsys.readouterr()
+            assert captured.out == "REJECTED residual nan\n"
+            assert captured.err == ""
+
+
 def test_verify_tensor_choices_and_z(tmp_path, capsys):
     g = write(tmp_path, "g.hg", SINGLE_EDGE)
     ones = write(tmp_path, "ones.vec", "1\n1\n1\n1\n")
@@ -198,8 +212,13 @@ def test_perron_error_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "p3.hg", "2 3 2\n1 2\n2 3\n")
     assert run(["perron", path, "--max-iter", "1"]) == EXIT_NO_CONVERGENCE
     capsys.readouterr()
-    assert run(["perron", path, "--tensor", "laplacian"]) == EXIT_INPUT
-    assert "negative off-diagonal entries" in capsys.readouterr().err
+    # perron offers only the views that can be nonnegative and connected
+    with pytest.raises(SystemExit) as exc:
+        run(["perron", path, "--tensor", "laplacian"])
+    assert exc.value.code == EXIT_INPUT
+    assert "argument --tensor" in capsys.readouterr().err
+    with pytest.raises(NotNonnegative, match="negative off-diagonal entries"):
+        perron(laplacian(parse_hypergraph("2 3 2\n1 2\n2 3\n")))
 
 
 def test_beta_prints_rejected_certificates_then_exits_1(tmp_path, capsys):

@@ -67,26 +67,33 @@ def test_degrees_counts_incidences():
     assert degrees(g) == (2, 2, 1, 1, 0)
 
 
+def part_of_each_edge(g, d):
+    """Index of the part holding all members of each edge; None for an edge
+    split across parts."""
+    return tuple(next((i for i, part in enumerate(d.parts) if set(edge) <= set(part)), None)
+                 for edge in g.edges)
+
+
 def test_components_single_edge():
     g = construct(4, 4, [(1, 2, 3, 4)])
     d = connected_components(g)
     assert d.count == 1
     assert d.parts == ((1, 2, 3, 4),)
-    assert d.edge_assignment == (0,)
+    assert part_of_each_edge(g, d) == (0,)
 
 
 def test_components_with_isolated_vertices():
     g = construct(6, 3, [(1, 2, 3), (3, 4, 5)])
     d = connected_components(g)
     assert d.parts == ((1, 2, 3, 4, 5), (6,))
-    assert d.edge_assignment == (0, 0)
+    assert part_of_each_edge(g, d) == (0, 0)
 
 
 def test_components_two_parts_ordered_by_smallest_member():
     g = construct(7, 2, [(6, 7), (1, 3), (3, 5)])
     d = connected_components(g)
     assert d.parts == ((1, 3, 5), (2,), (4,), (6, 7))
-    assert d.edge_assignment == (3, 0, 0)
+    assert part_of_each_edge(g, d) == (3, 0, 0)
 
 
 def test_components_edgeless():
@@ -94,7 +101,7 @@ def test_components_edgeless():
     d = connected_components(g)
     assert d.count == 3
     assert d.parts == ((1,), (2,), (3,))
-    assert d.edge_assignment == ()
+    assert part_of_each_edge(g, d) == ()
 
 
 def test_components_partition_and_match_union_find():
@@ -104,9 +111,7 @@ def test_components_partition_and_match_union_find():
         d = connected_components(g)
         seen = [v for part in d.parts for v in part]
         assert sorted(seen) == list(range(1, g.n + 1))
-        for index, edge in enumerate(g.edges):
-            members = set(d.parts[d.edge_assignment[index]])
-            assert set(edge) <= members
+        assert None not in part_of_each_edge(g, d)
         assert d.count == union_find_components(g)
 
 
@@ -145,7 +150,7 @@ def test_induced_on_component_matches_decomposition():
         for index, part in enumerate(d.parts):
             sub, _ = induced(g, part)
             assert connected_components(sub).count == 1
-            expected = sum(1 for a in d.edge_assignment if a == index)
+            expected = part_of_each_edge(g, d).count(index)
             assert sub.m == expected
 
 

@@ -1,0 +1,111 @@
+"""Property tests on small random inputs: the eigenpair checker against a
+brute-force contraction, the file format round trip, and the rejection of
+perturbed component indicators. Runs are derandomized and keep no example
+database, so they are repeatable."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from geoconn import (
+    adjacency,
+    connected_components,
+    construct,
+    degrees,
+    laplacian,
+    shifted_laplacian,
+    verify_h_eigenpair,
+    verify_z_eigenpair,
+)
+from geoconn.cli import parse_hypergraph
+
+from oracles import (
+    adjacency_entries,
+    dense_apply,
+    laplacian_entries,
+    shifted_laplacian_entries,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+exact_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def hypergraphs(draw):
+    """k in 2..4, n in 1..8, up to 8 distinct edges in random order."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 8))
+    candidates = list(combinations(range(1, n + 1), k))
+    if not candidates:
+        return construct(n, k, [])
+    return construct(n, k, draw(st.lists(st.sampled_from(candidates), unique=True, max_size=8)))
+
+
+def views_and_entries(g):
+    """The three tensor views of g, each with its materialized entries."""
+    shift = max(degrees(g))
+    return [(adjacency(g), adjacency_entries(g)),
+            (laplacian(g), laplacian_entries(g)),
+            (shifted_laplacian(g), shifted_laplacian_entries(g, shift))]
+
+
+@PROPERTY
+@given(st.data())
+def test_checker_residual_matches_a_dense_contraction(data):
+    g = data.draw(hypergraphs())
+    x = data.draw(st.lists(exact_scalars, min_size=g.n, max_size=g.n))
+    assume(any(x))
+    eigenvalue = data.draw(exact_scalars)
+    power = g.k - 1
+    for view, entries in views_and_entries(g):
+        y = dense_apply(entries, g.n, x)
+        h_defect = max(abs(yi - eigenvalue * xi ** power) for yi, xi in zip(y, x))
+        h_scale = max(1, max(abs(xi) for xi in x) ** power)
+        z_defect = max(abs(yi - eigenvalue * xi) for yi, xi in zip(y, x))
+        z_norm = abs(sum(xi * xi for xi in x) - 1)
+        h = verify_h_eigenpair(view, eigenvalue, x)
+        z = verify_z_eigenpair(view, eigenvalue, x)
+        assert h.exact and z.exact
+        assert h.residual == Fraction(h_defect) / h_scale, view.kind
+        assert z.residual == max(z_defect, z_norm), view.kind
+
+
+noise = st.lists(st.sampled_from(["", "   ", "# comment", "\t# 1 2 3"]), max_size=2)
+
+
+@PROPERTY
+@given(st.data())
+def test_written_hypergraph_parses_back(data):
+    g = data.draw(hypergraphs())
+    separator = data.draw(st.sampled_from([" ", "  ", "\t"]))
+    lines = data.draw(noise)
+    lines.append(f"{g.k} {g.n} {g.m}" + data.draw(st.sampled_from(["", "  # k n m"])))
+    for edge in g.edges:
+        lines += data.draw(noise)
+        members = data.draw(st.permutations(edge))
+        lines.append(separator.join(map(str, members)))
+    lines += data.draw(noise)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    assert parse_hypergraph(newline.join(lines)) == g
+
+
+@PROPERTY
+@given(st.data())
+def test_perturbed_indicator_is_rejected_exactly(data):
+    g = data.draw(hypergraphs())
+    assume(g.m > 0)
+    # a part holding an edge; every one of its vertices lies in an edge
+    part = next(p for p in connected_components(g).parts if set(g.edges[0]) <= set(p))
+    x = [0] * g.n
+    for v in part:
+        x[v - 1] = 1
+    assert verify_h_eigenpair(laplacian(g), 0, x, tol=0).accepted
+    vertex = data.draw(st.sampled_from(part))
+    t = data.draw(exact_scalars.filter(lambda value: value != 0))
+    x[vertex - 1] += t
+    assert not verify_h_eigenpair(laplacian(g), 0, x, tol=0).accepted

@@ -112,6 +112,12 @@ def test_verify_refuses_non_finite_numbers():
     cert = verify_h_eigenpair(laplacian(g), 2, (1.3e154,) * 4)
     assert math.isnan(cert.residual) and not cert.accepted
     assert not verify_h_eigenpair(laplacian(g), 2, (1,) * 4).accepted
+    # a float power or product that overflows rejects the same way
+    edge = laplacian(construct(3, 3, [(1, 2, 3)]))
+    for verify in (verify_h_eigenpair, verify_z_eigenpair):
+        for eigenvalue, x in ((0, (1e200, 1, 1)), (0.5, (10 ** 400, 1, 1))):
+            cert = verify(edge, eigenvalue, x)
+            assert math.isnan(cert.residual) and not cert.accepted
 
 
 def test_verify_z_unit_indicator_is_exact_on_squares():
@@ -370,9 +376,30 @@ def test_rejected_certificate_lowers_beta_and_fails_check(monkeypatch, tmp_path,
 
 def test_edge_leaving_its_part_is_refused(monkeypatch):
     g = construct(4, 3, [(1, 2, 3)])
-    cut = ComponentDecomposition(((1, 4), (2, 3)), (1,))
+    cut = ComponentDecomposition(((1, 4), (2, 3)))
     monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: cut)
     with pytest.raises(ValueError, match="edge 0"):
+        geometry_connectivity(g)
+
+
+def test_vertex_left_out_of_the_parts_is_refused(monkeypatch, tmp_path):
+    # vertex 4 is isolated; parts that drop it would pass as one component
+    g = construct(4, 3, [(1, 2, 3)])
+    short = ComponentDecomposition(((1, 2, 3),))
+    monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: short)
+    with pytest.raises(ValueError, match="vertex 4 lies in no part"):
+        geometry_connectivity(g)
+    path = tmp_path / "g.hg"
+    path.write_text("3 4 1\n1 2 3\n")
+    with pytest.raises(ValueError, match="vertex 4"):
+        run(["report", str(path)])
+
+
+def test_vertex_in_two_parts_is_refused(monkeypatch):
+    g = construct(4, 3, [(1, 2, 3)])
+    twice = ComponentDecomposition(((1, 2, 3), (3, 4)))
+    monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: twice)
+    with pytest.raises(ValueError, match="vertex 3 lies in parts 1 and 2"):
         geometry_connectivity(g)
 
 
