@@ -49,7 +49,6 @@ from .spectral import (
     z_geometry_connectivity,
 )
 from .tensor import (
-    SparseTensor,
     adjacency,
     apply,
     is_weakly_irreducible,
@@ -80,7 +79,6 @@ __all__ = [
     "PERRON_TOL",
     "ParseError",
     "PerronResult",
-    "SparseTensor",
     "WrongUniformity",
     "ZeroVector",
     "adjacency",

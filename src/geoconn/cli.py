@@ -1,10 +1,11 @@
 """Command line front end.
 
 Hypergraph files are plain text: a header line ``k n m`` followed by m edge
-lines of k vertex labels each, whitespace separated, 1-based labels.  Blank
-lines and ``#`` comments (full line or trailing) are ignored.  Vector files
-hold one number per line, as an integer, a rational ``p/q`` or a finite
-decimal; integer and rational entries keep the computation exact.
+lines of k vertex labels each, whitespace separated, 1-based labels, with
+n at most ``MAX_VERTICES`` (1,000,000).  Blank lines and ``#`` comments
+(full line or trailing) are ignored.  Vector files hold one number per
+line, as an integer, a rational ``p/q`` or a finite decimal; integer and
+rational entries keep the computation exact.  Files must be UTF-8.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 2 malformed input, 3 iteration did not converge (``perron`` only).
@@ -39,6 +40,8 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
+MAX_VERTICES = 1_000_000
+
 TENSOR_VIEWS = {"adjacency": adjacency, "laplacian": laplacian,
                 "laplacian-shifted": shifted_laplacian}
 
@@ -71,6 +74,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise ParseError(f"uniformity k must be at least 2, got {k}", line=header_line)
     if n < 1:
         raise ParseError(f"vertex count n must be positive, got {n}", line=header_line)
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count n must be at most {MAX_VERTICES}, got {n}",
+                         line=header_line)
     if m < 0:
         raise ParseError(f"edge count m must be nonnegative, got {m}", line=header_line)
     body = lines[1:]
@@ -134,6 +140,8 @@ def _load(path: str, parse):
             text = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8", line=None) from None
     try:
         return parse(text)
     except ParseError as exc:

@@ -1,5 +1,6 @@
 """Tensor engine: the tensors of a k-uniform hypergraph as implicit views,
-their contraction and their weak irreducibility.
+their contraction, their support digraph and their weak irreducibility.
+``HypergraphView`` is the library's only tensor type.
 
 The adjacency tensor of a k-uniform hypergraph has entry 1/(k-1)! on every
 permutation of each edge's vertex tuple, the Laplacian is D - A with D the
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DimensionError, NotNonnegative
 from .hypergraph import Hypergraph, connected_components, degrees
@@ -30,46 +30,6 @@ Number = Union[int, float, Fraction]
 def is_exact_scalar(value) -> bool:
     """True for numbers that support exact arithmetic (int or Fraction)."""
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class SparseTensor:
-    """Order-m, dimension-n tensor in coordinate form, the input of
-    ``support_digraph``.
-
-    ``entries`` maps index tuples (1-based, length ``order``) to nonzero
-    finite values; absent tuples are zero. Explicit zeros are dropped at
-    construction. No symmetry is assumed or enforced.
-    """
-
-    order: int
-    dim: int
-    entries: Mapping[tuple[int, ...], Number]
-
-    def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 2:
-            raise ValueError(f"tensor order must be an integer >= 2, got {self.order!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"tensor dimension must be a positive integer, got {self.dim!r}")
-        cleaned: dict[tuple[int, ...], Number] = {}
-        for raw, value in self.entries.items():
-            index = tuple(raw)
-            if len(index) != self.order:
-                raise DimensionError(
-                    f"index tuple {index} has {len(index)} components, expected {self.order}")
-            for i in index:
-                if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.dim:
-                    raise DimensionError(f"index {i!r} outside 1..{self.dim} in {index}")
-            if isinstance(value, float) and not isfinite(value):
-                raise ValueError(f"entry {index} is not finite: {value!r}")
-            if value == 0:
-                continue
-            cleaned[index] = value
-        object.__setattr__(self, "entries", cleaned)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(v) for v in self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -162,20 +122,29 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
     return out
 
 
-def support_digraph(t: SparseTensor) -> dict[int, tuple[int, ...]]:
-    """Directed graph with an arc (i, j) for every positive entry t_{i i2..im}
-    and every j among i2..im. Requires an entrywise nonnegative tensor.
+def _require_nonnegative(view: HypergraphView) -> None:
+    """Raise NotNonnegative unless every entry of the view is >= 0."""
+    if view.sign < 0 and view.graph.m > 0:
+        raise NotNonnegative(f"{view.kind} view has negative off-diagonal entries")
+    for i, c in enumerate(view.diagonal, start=1):
+        if c < 0:
+            raise NotNonnegative(f"diagonal entry at vertex {i} is negative: {c}")
 
-    A hypergraph tensor's digraph (O(k^2*m) arcs) is strongly connected iff
-    the hypergraph is; ``is_weakly_irreducible`` decides that in O(k*m + n)
-    without building it. No command calls this; it stays because the
-    benchmark's tracer counts its arcs by name.
+
+def support_digraph(view: HypergraphView) -> dict[int, tuple[int, ...]]:
+    """Support digraph of a nonnegative view: an arc i -> j for every two
+    members i != j of an edge, a loop i -> i where the diagonal is positive.
+
+    Its O(k^2*m) arcs are strongly connected iff the hypergraph is, which
+    ``is_weakly_irreducible`` decides in O(k*m + n) without them. No command
+    calls this; it stays because the benchmark's tracer counts its arcs.
     """
-    successors: dict[int, set[int]] = {i: set() for i in range(1, t.dim + 1)}
-    for index, value in t.entries.items():
-        if value < 0:
-            raise NotNonnegative(f"entry {index} is negative: {value}")
-        successors[index[0]].update(index[1:])
+    _require_nonnegative(view)
+    successors: dict[int, set[int]] = {
+        i: {i} if c > 0 else set() for i, c in enumerate(view.diagonal, start=1)}
+    for edge in view.graph.edges:
+        for i in edge:
+            successors[i].update(j for j in edge if j != i)
     return {i: tuple(sorted(s)) for i, s in successors.items()}
 
 
@@ -191,9 +160,5 @@ def is_weakly_irreducible(view: HypergraphView) -> bool:
     A Laplacian view with an edge, or a negative diagonal entry, raises
     NotNonnegative.
     """
-    if view.sign < 0 and view.graph.m > 0:
-        raise NotNonnegative(f"{view.kind} view has negative off-diagonal entries")
-    for i, c in enumerate(view.diagonal, start=1):
-        if c < 0:
-            raise NotNonnegative(f"diagonal entry at vertex {i} is negative: {c}")
+    _require_nonnegative(view)
     return connected_components(view.graph).count == 1

@@ -14,6 +14,7 @@ from geoconn.cli import (
     EXIT_MISMATCH,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    MAX_VERTICES,
     parse_hypergraph,
     parse_scalar,
     parse_vector,
@@ -47,6 +48,7 @@ def test_parse_hypergraph_comments_blank_lines_and_crlf():
 def test_parse_hypergraph_edgeless():
     g = parse_hypergraph("2 3 0\n")
     assert g.m == 0 and g.n == 3
+    assert parse_hypergraph("2 1000000 0\n").n == MAX_VERTICES == 1_000_000
 
 
 def test_parse_hypergraph_header_errors_carry_line_numbers():
@@ -59,7 +61,7 @@ def test_parse_hypergraph_header_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("3 five 2\n")
     assert err.value.line == 1
-    for bad in ("1 5 0\n", "3 0 0\n", "3 5 -1\n"):
+    for bad in ("1 5 0\n", "3 0 0\n", "3 5 -1\n", "2 1000001 0\n"):
         with pytest.raises(ParseError) as err:
             parse_hypergraph(bad)
         assert err.value.line == 1
@@ -235,20 +237,55 @@ def test_beta_prints_rejected_certificates_then_exits_1(tmp_path, capsys):
     assert float(document["certificates"][0]["residual"]) > 0
 
 
-def test_check_on_many_isolated_vertices_stays_small(tmp_path):
-    # 20000 components: the analysis keeps one component-local vector per
-    # certificate, so it needs O(n) memory, not O(r*n)
-    path = write(tmp_path, "g.hg", "2 20000 0\n")
+def run_in_one_gigabyte(command, path):
+    """``geoconn command path`` in a subprocess limited to a 1 GB address space."""
     limit = 1 << 30
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    done = subprocess.run([sys.executable, "-m", "geoconn.cli", "check", path],
+    return subprocess.run([sys.executable, "-m", "geoconn.cli", command, path],
                           capture_output=True, text=True, preexec_fn=cap_address_space,
                           timeout=120)
+
+
+def test_check_on_many_isolated_vertices_stays_small(tmp_path):
+    # 20000 components: the analysis keeps one component-local vector per
+    # certificate, so it needs O(n) memory, not O(r*n)
+    done = run_in_one_gigabyte("check", write(tmp_path, "g.hg", "2 20000 0\n"))
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[-1] == "beta = 20000 = components"
+
+
+def test_huge_header_is_refused_before_allocating(tmp_path):
+    # n = 10^9 used to end in a MemoryError traceback under this limit
+    path = write(tmp_path, "g.hg", "2 1000000000 0\n")
+    for command in ("check", "components"):
+        done = run_in_one_gigabyte(command, path)
+        assert done.returncode == EXIT_INPUT, done.stderr
+        assert done.stdout == ""
+        assert f"g.hg:1: vertex count n must be at most {MAX_VERTICES}" in done.stderr
+
+
+def test_non_utf8_hypergraph_file_exits_2(tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback with exit 1
+    bad_graph = tmp_path / "bad.hg"
+    bad_graph.write_bytes(b"3 3 1\n1 2 \xff\n")
+    assert run(["check", str(bad_graph)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"geoconn: error: {bad_graph}: byte 10 is not UTF-8\n"
+
+
+def test_non_utf8_vector_file_exits_2(tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback with exit 1
+    g = write(tmp_path, "e.hg", "3 3 1\n1 2 3\n")
+    bad_vector = tmp_path / "bad.vec"
+    bad_vector.write_bytes(b"1\n1\n\xfe\n")
+    assert run(["verify", g, "--vector", str(bad_vector), "--lambda", "0"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"geoconn: error: {bad_vector}: byte 4 is not UTF-8\n"
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from geoconn import (
     DimensionError,
     NotNonnegative,
-    SparseTensor,
     adjacency,
     apply,
     construct,
@@ -27,30 +26,13 @@ from oracles import (
     shifted_laplacian_entries,
     strongly_connected,
     strongly_connected_components,
+    support_digraph_of,
     union_find_components,
 )
 
 
 def random_exact_vector(rng, n):
     return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
-
-
-def test_sparse_tensor_validates_indices():
-    with pytest.raises(DimensionError):
-        SparseTensor(2, 3, {(1, 4): 1})
-    with pytest.raises(DimensionError):
-        SparseTensor(2, 3, {(1,): 1})
-    with pytest.raises(DimensionError):
-        SparseTensor(2, 3, {(1, 0): 1})
-
-
-def test_sparse_tensor_drops_zeros_and_tracks_exactness():
-    t = SparseTensor(2, 2, {(1, 1): 1, (1, 2): 0, (2, 2): Fraction(1, 2)})
-    assert (1, 2) not in t.entries
-    assert t.is_exact
-    assert not SparseTensor(2, 2, {(1, 1): 0.5}).is_exact
-    with pytest.raises(ValueError):
-        SparseTensor(2, 2, {(1, 1): float("nan")})
 
 
 def test_adjacency_apply_frozen_value():
@@ -139,32 +121,39 @@ def test_shifted_laplacian_default_shift_is_max_degree():
 
 def test_support_digraph_of_adjacency():
     g = construct(4, 3, [(1, 2, 3)])
-    graph = support_digraph(SparseTensor(g.k, g.n, adjacency_entries(g)))
-    assert graph == {1: (2, 3), 2: (1, 3), 3: (1, 2), 4: ()}
+    assert support_digraph(adjacency(g)) == {1: (2, 3), 2: (1, 3), 3: (1, 2), 4: ()}
 
 
 def test_support_digraph_shifted_laplacian_adds_self_loops():
     g = construct(3, 2, [(1, 2), (2, 3)])
     entries = shifted_laplacian_entries(g, 2)
     assert dense_apply(entries, g.n, [1, 2, 3]) == apply(shifted_laplacian(g), [1, 2, 3])
-    graph = support_digraph(SparseTensor(g.k, g.n, entries))
+    graph = support_digraph(shifted_laplacian(g))
     # vertices 1 and 3 have degree 1 < shift 2, so they carry self-loops
-    assert 1 in graph[1] and 3 in graph[3]
-    assert 2 not in graph[2]
+    assert graph == {1: (1, 2), 2: (1, 3), 3: (2, 3)}
+    assert graph == support_digraph_of(entries, g.n)
+
+
+def test_support_digraph_matches_materialized_entries():
+    rng = random.Random(1010)
+    for _ in range(150):
+        g = random_hypergraph(rng, max_n=8, max_m=10)
+        assert support_digraph(adjacency(g)) == support_digraph_of(adjacency_entries(g), g.n)
+        assert (support_digraph(shifted_laplacian(g))
+                == support_digraph_of(shifted_laplacian_entries(g, max(degrees(g))), g.n))
 
 
 def test_support_digraph_rejects_negative_tensors():
-    with pytest.raises(NotNonnegative):
-        support_digraph(SparseTensor(2, 2, {(1, 2): -1}))
-    # hypergraph views are checked structurally, without a digraph
+    # hypergraph views are checked structurally, the same way for both calls
     g = construct(3, 2, [(1, 2)])
-    with pytest.raises(NotNonnegative, match="negative off-diagonal entries"):
-        is_weakly_irreducible(laplacian(g))
-    with pytest.raises(NotNonnegative, match="diagonal entry at vertex 1 is negative"):
-        is_weakly_irreducible(shifted_laplacian(g, max(degrees(g)) - 1))
+    for check in (support_digraph, is_weakly_irreducible):
+        with pytest.raises(NotNonnegative, match="negative off-diagonal entries"):
+            check(laplacian(g))
+        with pytest.raises(NotNonnegative, match="diagonal entry at vertex 1 is negative"):
+            check(shifted_laplacian(g, max(degrees(g)) - 1))
     # laplacian of an edgeless hypergraph is the zero tensor: fine
     edgeless = construct(2, 2, [])
-    assert support_digraph(SparseTensor(2, 2, laplacian_entries(edgeless))) == {1: (), 2: ()}
+    assert support_digraph(laplacian(edgeless)) == {1: (), 2: ()}
     assert is_weakly_irreducible(laplacian(edgeless)) is False
 
 
