@@ -2,10 +2,14 @@
 
 Hypergraph files are plain text: a header line ``k n m`` followed by m edge
 lines of k vertex labels each, whitespace separated, 1-based labels, with
-n at most ``MAX_VERTICES`` (1,000,000).  Blank lines and ``#`` comments
-(full line or trailing) are ignored.  Vector files hold one number per
-line, as an integer, a rational ``p/q`` or a finite decimal; integer and
-rational entries keep the computation exact.  Files must be UTF-8.
+2 <= k <= n and n at most ``MAX_VERTICES`` (1,000,000).  Blank lines and
+``#`` comments (full line or trailing) are ignored.  Vector files hold one
+number per line, as an integer, a rational ``p/q`` or a finite decimal;
+integer and rational entries keep the computation exact.  Files must be
+UTF-8.
+
+JSON output (``--format json`` and ``report``) is ``json.dumps(document,
+indent=2)`` byte for byte; ``_json`` renders it through the C encoder.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 2 malformed input, 3 iteration did not converge (``perron`` only).
@@ -77,6 +81,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if n > MAX_VERTICES:
         raise ParseError(f"vertex count n must be at most {MAX_VERTICES}, got {n}",
                          line=header_line)
+    if k > n:
+        # no edge of k distinct labels fits in 1..n; this also bounds the
+        # exponent k - 1 of every contraction by MAX_VERTICES
+        raise ParseError(f"uniformity k must be at most n = {n}, got {k}", line=header_line)
     if m < 0:
         raise ParseError(f"edge count m must be nonnegative, got {m}", line=header_line)
     body = lines[1:]
@@ -222,6 +230,43 @@ def _report_document(g: Hypergraph, source: str, report: ConnectivityReport) -> 
     }
 
 
+def _json(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.
+
+    ``json.dumps`` takes its C encoder only when ``indent`` is None, so with
+    an indent it yields every certificate entry from pure Python.  This
+    walks dicts and lists of containers as that encoder does, and hands
+    each list of scalars to the C encoder in one call, with the newline and
+    padding in the item separator.  A list is classified by its first item:
+    every list the CLI emits holds only containers or only scalars.  Dict
+    keys are strings.
+    """
+    def chunks(value, pad: str) -> Iterator[str]:
+        inner = pad + "  "
+        if isinstance(value, dict) and value:
+            opener = "{"
+            for key, item in value.items():
+                yield f"{opener}\n{inner}{json.dumps(key)}: "
+                yield from chunks(item, inner)
+                opener = ","
+            yield f"\n{pad}}}"
+        elif isinstance(value, (list, tuple)) and value:
+            if isinstance(value[0], (dict, list, tuple)):
+                opener = "["
+                for item in value:
+                    yield f"{opener}\n{inner}"
+                    yield from chunks(item, inner)
+                    opener = ","
+            else:
+                yield f"[\n{inner}"
+                yield json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+            yield f"\n{pad}]"
+        else:
+            yield json.dumps(value)  # a scalar, {} or []
+
+    return "".join(chunks(value, ""))
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -262,7 +307,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
             "components": decomposition.count,
             "parts": [list(part) for part in decomposition.parts],
         }
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_json(document), args.out)
     else:
         lines = [f"components: {decomposition.count}"]
         for index, part in enumerate(decomposition.parts, start=1):
@@ -285,7 +330,7 @@ def _cmd_beta(args: argparse.Namespace) -> int:
             "certificates": [_certificate_document(c, part, g.n)
                              for c, part in zip(certificates, parts)],
         }
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_json(document), args.out)
     else:
         lines = [f"{label} = {value}"]
         for number, (cert, part) in enumerate(zip(certificates, parts), start=1):
@@ -307,7 +352,7 @@ def _cmd_perron(args: argparse.Namespace) -> int:
             "iterations": result.iterations,
             "tolerance": _decimal(result.tolerance),
         }
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_json(document), args.out)
     else:
         lines = [
             f"rho: {result.rho!r}",
@@ -334,7 +379,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         document = _certificate_document(certificate, g.vertices(), g.n)
         document["accepted"] = certificate.accepted
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_json(document), args.out)
     else:
         suffix = " (exact)" if certificate.exact else ""
         _emit(f"{verdict} residual {_decimal(certificate.residual)}{suffix}",
@@ -365,7 +410,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     g = _load(args.hypergraph, parse_hypergraph)
     report = geometry_connectivity(g, tol=args.tol)
-    _emit(json.dumps(_report_document(g, args.hypergraph, report), indent=2), args.out)
+    _emit(_json(_report_document(g, args.hypergraph, report)), args.out)
     certificates = (report.certificates + report.z_certificates
                     + (report.rho_certificates or ()))
     return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH

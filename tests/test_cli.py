@@ -61,10 +61,13 @@ def test_parse_hypergraph_header_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("3 five 2\n")
     assert err.value.line == 1
-    for bad in ("1 5 0\n", "3 0 0\n", "3 5 -1\n", "2 1000001 0\n"):
+    for bad in ("1 5 0\n", "3 0 0\n", "3 5 -1\n", "2 1000001 0\n", "2 1 0\n", "5 3 0\n"):
         with pytest.raises(ParseError) as err:
             parse_hypergraph(bad)
         assert err.value.line == 1
+    # no edge of k distinct labels fits in 1..n
+    with pytest.raises(ParseError, match="uniformity k must be at most n = 3, got 5"):
+        parse_hypergraph("5 3 0\n")
 
 
 def test_parse_hypergraph_edge_count_mismatch():
@@ -237,14 +240,14 @@ def test_beta_prints_rejected_certificates_then_exits_1(tmp_path, capsys):
     assert float(document["certificates"][0]["residual"]) > 0
 
 
-def run_in_one_gigabyte(command, path):
-    """``geoconn command path`` in a subprocess limited to a 1 GB address space."""
+def run_in_one_gigabyte(*argv):
+    """``geoconn *argv`` in a subprocess limited to a 1 GB address space."""
     limit = 1 << 30
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    return subprocess.run([sys.executable, "-m", "geoconn.cli", command, path],
+    return subprocess.run([sys.executable, "-m", "geoconn.cli", *argv],
                           capture_output=True, text=True, preexec_fn=cap_address_space,
                           timeout=120)
 
@@ -265,6 +268,13 @@ def test_huge_header_is_refused_before_allocating(tmp_path):
         assert done.returncode == EXIT_INPUT, done.stderr
         assert done.stdout == ""
         assert f"g.hg:1: vertex count n must be at most {MAX_VERTICES}" in done.stderr
+    # an edgeless header with k = 10^12 used to make verify compute 2 ** (k - 1)
+    path = write(tmp_path, "k.hg", "1000000000000 3 0\n")
+    vector = write(tmp_path, "v.vec", "2\n1\n1\n")
+    done = run_in_one_gigabyte("verify", path, "--vector", vector, "--lambda", "0")
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stdout == ""
+    assert "k.hg:1: uniformity k must be at most n = 3" in done.stderr
 
 
 def test_non_utf8_hypergraph_file_exits_2(tmp_path, capsys):
@@ -412,6 +422,39 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     document = json.loads(target.read_text())
     assert document["beta"] == 1
+
+
+def loose_chains(sizes, isolated):
+    """A 3-uniform hypergraph file: one loose chain of s edges for each s in
+    sizes, then ``isolated`` isolated vertices."""
+    edges, first = [], 1
+    for size in sizes:
+        edges += [(first + 2 * i, first + 2 * i + 1, first + 2 * i + 2) for i in range(size)]
+        first += 2 * size + 1
+    n = first - 1 + isolated
+    return f"3 {n} {len(edges)}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges)
+
+
+def test_json_output_is_json_dumps_indent_2(tmp_path, capsys):
+    # every JSON document is printed exactly as json.dumps(document, indent=2)
+    chains = write(tmp_path, "chains.hg", loose_chains([1, 2, 3] * 10, isolated=7))
+    cycle = write(tmp_path, "cycle.hg", TIGHT_CYCLE)
+    ones = write(tmp_path, "ones.vec", "1\n1\n1\n1\n1\n")
+    commands = [["report", chains], ["beta", chains, "--format", "json"],
+                ["beta", chains, "--z", "--format", "json"],
+                ["components", chains, "--format", "json"],
+                ["perron", cycle, "--format", "json"],
+                ["verify", cycle, "--vector", ones, "--lambda", "0", "--format", "json"]]
+    target = tmp_path / "out.json"
+    for argv in commands:
+        assert run(argv) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        if argv[0] == "report":
+            assert json.loads(out)["beta"] == 30 + 7
+        assert run([*argv, "--out", str(target)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode(), argv
 
 
 def test_bad_usage_raises_system_exit(capsys):

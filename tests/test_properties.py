@@ -1,15 +1,19 @@
 """Property tests on small random inputs: the eigenpair checker against a
-brute-force contraction, the file format round trip, and the rejection of
-perturbed component indicators. Runs are derandomized and keep no example
+brute-force contraction, the file format round trip, the rejection of
+perturbed component indicators, and the JSON renderer against
+``json.dumps(indent=2)``. Runs are derandomized and keep no example
 database, so they are repeatable."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geoconn import (
+    ParseError,
     adjacency,
     connected_components,
     construct,
@@ -19,7 +23,7 @@ from geoconn import (
     verify_h_eigenpair,
     verify_z_eigenpair,
 )
-from geoconn.cli import parse_hypergraph
+from geoconn.cli import _json, parse_hypergraph
 
 from oracles import (
     adjacency_entries,
@@ -84,6 +88,7 @@ def test_written_hypergraph_parses_back(data):
     g = data.draw(hypergraphs())
     separator = data.draw(st.sampled_from([" ", "  ", "\t"]))
     lines = data.draw(noise)
+    header_line = len(lines) + 1
     lines.append(f"{g.k} {g.n} {g.m}" + data.draw(st.sampled_from(["", "  # k n m"])))
     for edge in g.edges:
         lines += data.draw(noise)
@@ -91,7 +96,14 @@ def test_written_hypergraph_parses_back(data):
         lines.append(separator.join(map(str, members)))
     lines += data.draw(noise)
     newline = data.draw(st.sampled_from(["\n", "\r\n"]))
-    assert parse_hypergraph(newline.join(lines)) == g
+    text = newline.join(lines)
+    if g.k > g.n:
+        # an edgeless graph the library accepts, but no file may declare
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert err.value.line == header_line
+    else:
+        assert parse_hypergraph(text) == g
 
 
 @PROPERTY
@@ -109,3 +121,20 @@ def test_perturbed_indicator_is_rejected_exactly(data):
     t = data.draw(exact_scalars.filter(lambda value: value != 0))
     x[vertex - 1] += t
     assert not verify_h_eigenpair(laplacian(g), 0, x, tol=0).accepted
+
+
+json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                              st.characters()))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_text)
+# every list holds only containers or only scalars, as in the CLI's documents
+json_containers = st.deferred(lambda: st.one_of(
+    st.lists(json_scalars, max_size=4),
+    st.lists(json_containers, max_size=3),
+    st.lists(json_scalars, max_size=3).map(tuple),
+    st.dictionaries(json_text, st.one_of(json_scalars, json_containers), max_size=3)))
+
+
+@PROPERTY
+@given(st.one_of(json_scalars, json_containers))
+def test_json_renderer_matches_json_dumps_indent_2(document):
+    assert _json(document) == json.dumps(document, indent=2)
