@@ -32,7 +32,6 @@ from .hypergraph import (
     construct,
     degrees,
     induced,
-    is_regular,
 )
 from .spectral import (
     DEFAULT_TOL,
@@ -88,7 +87,6 @@ __all__ = [
     "degrees",
     "geometry_connectivity",
     "induced",
-    "is_regular",
     "is_weakly_irreducible",
     "laplacian",
     "perron",

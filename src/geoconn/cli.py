@@ -1,12 +1,12 @@
 """Command line front end.
 
 Hypergraph files are plain text: a header line ``k n m`` followed by m edge
-lines of k vertex labels each, whitespace separated, 1-based labels, with
-2 <= k <= n and n at most ``MAX_VERTICES`` (1,000,000).  Blank lines and
-``#`` comments (full line or trailing) are ignored.  Vector files hold one
-number per line, as an integer, a rational ``p/q`` or a finite decimal;
-integer and rational entries keep the computation exact.  Files must be
-UTF-8.
+lines of k 1-based vertex labels each, whitespace separated, every field
+ASCII [0-9]+, with 2 <= k <= n and n at most ``MAX_VERTICES`` (1,000,000).
+Blank lines and ``#`` comments (full line or trailing) are ignored.  Vector
+files hold one number per line, as an integer, a rational ``p/q`` or a
+finite decimal; integer and rational entries keep the computation exact.
+Files must be UTF-8.
 
 JSON output (``--format json`` and ``report``) is ``json.dumps(document,
 indent=2)`` byte for byte; ``_json`` renders it through the C encoder.
@@ -25,7 +25,7 @@ from math import inf, isfinite, nan
 from typing import Iterator, Sequence, TextIO
 
 from .errors import EdgeError, GeoconnError, IoError, NoConvergence, ParseError
-from .hypergraph import Hypergraph, connected_components, construct, degrees
+from .hypergraph import Hypergraph, check_components, connected_components, construct, degrees
 from .spectral import (
     DEFAULT_TOL,
     MAX_ITER,
@@ -58,6 +58,14 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
+def _unsigned(line: str) -> tuple[int, ...] | None:
+    """The line's fields as integers when each is ASCII [0-9]+, else None;
+    int() alone also takes signs, underscores and non-ASCII digits."""
+    fields = line.split()
+    joined = "".join(fields)
+    return tuple(map(int, fields)) if joined.isascii() and joined.isdigit() else None
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the ``k n m`` + edge-lines format. Raises ParseError with the
     offending 1-based line number, or the underlying edge validation error
@@ -66,44 +74,35 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if not lines:
         raise ParseError("empty input, expected a 'k n m' header", line=None)
     header_line, header = lines[0]
-    fields = header.split()
-    if len(fields) != 3:
-        raise ParseError(f"header must be 'k n m', got {header!r}", line=header_line)
-    try:
-        k, n, m = (int(f) for f in fields)
-    except ValueError:
-        raise ParseError(f"header must hold three integers, got {header!r}",
-                         line=header_line) from None
+    numbers = _unsigned(header)
+    if numbers is None or len(numbers) != 3:
+        raise ParseError(f"header must be 'k n m', three unsigned integers, got {header!r}",
+                         line=header_line)
+    k, n, m = numbers
     if k < 2:
         raise ParseError(f"uniformity k must be at least 2, got {k}", line=header_line)
-    if n < 1:
-        raise ParseError(f"vertex count n must be positive, got {n}", line=header_line)
     if n > MAX_VERTICES:
         raise ParseError(f"vertex count n must be at most {MAX_VERTICES}, got {n}",
                          line=header_line)
     if k > n:
-        # no edge of k distinct labels fits in 1..n; this also bounds the
-        # exponent k - 1 of every contraction by MAX_VERTICES
+        # no edge of k distinct labels fits in 1..n (this covers n = 0); it
+        # also bounds the exponent k - 1 of every contraction by MAX_VERTICES
         raise ParseError(f"uniformity k must be at most n = {n}, got {k}", line=header_line)
-    if m < 0:
-        raise ParseError(f"edge count m must be nonnegative, got {m}", line=header_line)
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header promises {m} edges, file has {len(body)}",
                          line=header_line)
     edges = []
     for line_number, line in body:
-        parts = line.split()
-        try:
-            edge = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"edge line must hold integer labels, got {line!r}",
-                             line=line_number) from None
-        edges.append((line_number, edge))
+        edge = _unsigned(line)
+        if edge is None:
+            raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
+                             line=line_number)
+        edges.append(edge)
     try:
-        return construct(n, k, [edge for _, edge in edges])
+        return construct(n, k, edges)
     except EdgeError as exc:
-        line_number = edges[exc.edge_index][0] if exc.edge_index is not None else None
+        line_number = body[exc.edge_index][0] if exc.edge_index is not None else None
         raise ParseError(str(exc), line=line_number) from exc
 
 
@@ -282,26 +281,10 @@ def _emit(text: str, out: str | None) -> None:
         raise IoError(f"cannot write {out}: {exc}") from exc
 
 
-def _union_find_count(g: Hypergraph) -> int:
-    # independent of the BFS decomposition used everywhere else
-    parent = list(range(g.n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for edge in g.edges:
-        root = find(edge[0])
-        for v in edge[1:]:
-            parent[find(v)] = root
-    return len({find(v) for v in range(1, g.n + 1)})
-
-
 def _cmd_components(args: argparse.Namespace) -> int:
     g = _load(args.hypergraph, parse_hypergraph)
     decomposition = connected_components(g)
+    check_components(g, decomposition)
     if args.format == "json":
         document = {
             "components": decomposition.count,
@@ -390,7 +373,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load(args.hypergraph, parse_hypergraph)
     report = geometry_connectivity(g, tol=args.tol)
-    expected = _union_find_count(g)
+    expected = report.component_count
     checks = [
         ("beta equals component count", report.beta == expected),
         ("beta_z equals component count", report.beta_z == expected),

@@ -72,13 +72,17 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Partition of the vertices into connected components.
+    """Partition of the vertices into connected components, isolated
+    vertices as singletons, with the search tree as witness.
 
     ``parts`` lists the components by smallest member ascending, each part
-    sorted ascending; every edge lies inside one part.
-    """
+    sorted ascending. ``order`` lists all n vertices as the search reached
+    them, part by part; ``reached_by[v - 1]`` indexes the edge that reached
+    v, or is -1 at a part's start."""
 
     parts: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    reached_by: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -110,34 +114,73 @@ def connected_components(g: Hypergraph) -> ComponentDecomposition:
     Two vertices are connected when a path of alternating vertices and edges
     joins them, i.e. when they are reachable in the bipartite vertex-edge
     incidence structure. Breadth-first search over that structure runs in
-    O(k*m + n). Isolated vertices form singleton parts.
+    O(k*m + n); it records its spanning tree, so that ``check_components``
+    checks each part's connectivity instead of trusting the search.
     """
     incident: list[list[int]] = [[] for _ in range(g.n + 1)]
     for j, edge in enumerate(g.edges):
         for v in edge:
             incident[v].append(j)
-    seen_vertex = [False] * (g.n + 1)
     seen_edge = [False] * g.m
+    reached_by: list[int | None] = [None] * (g.n + 1)  # None until reached
+    order: list[int] = []
     parts: list[tuple[int, ...]] = []
     for start in range(1, g.n + 1):
-        if seen_vertex[start]:
+        if reached_by[start] is not None:
             continue
-        seen_vertex[start] = True
+        reached_by[start] = -1
         queue = deque([start])
-        members = []
+        first = len(order)
         while queue:
             v = queue.popleft()
-            members.append(v)
+            order.append(v)
             for j in incident[v]:
                 if seen_edge[j]:
                     continue
                 seen_edge[j] = True
                 for u in g.edges[j]:
-                    if not seen_vertex[u]:
-                        seen_vertex[u] = True
+                    if reached_by[u] is None:
+                        reached_by[u] = j
                         queue.append(u)
-        parts.append(tuple(sorted(members)))
-    return ComponentDecomposition(tuple(parts))
+        parts.append(tuple(sorted(order[first:])))
+    return ComponentDecomposition(tuple(parts), tuple(order), tuple(reached_by[1:]))
+
+
+def check_components(g: Hypergraph, d: ComponentDecomposition) -> None:
+    """Raise ValueError unless ``d.parts`` are the components of ``g``, in
+    O(n + k*m) with no search: no edge leaves a part, so none is split, and
+    every vertex but one start per part is reached through an edge holding
+    an earlier vertex of ``d.order``, so each part is connected."""
+    owner = [-1] * (g.n + 1)
+    for index, part in enumerate(d.parts):
+        for v in part:
+            if owner[v] >= 0:
+                raise ValueError(f"vertex {v} lies in parts {owner[v] + 1} and {index + 1}")
+            owner[v] = index
+    if -1 in owner[1:]:
+        raise ValueError(f"vertex {owner.index(-1, 1)} lies in no part")
+    for j, edge in enumerate(g.edges):
+        index = owner[edge[0]]
+        for v in edge:
+            if owner[v] != index:
+                raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")
+    if sorted(d.order) != list(g.vertices()) or len(d.reached_by) != g.n:
+        raise ValueError("the search order must list every vertex once")
+    edges, listed = g.edges, set()
+    for v in d.order:
+        j = d.reached_by[v - 1]
+        if j != -1:
+            edge = edges[j] if 0 <= j < len(edges) else ()
+            if v not in edge:
+                raise ValueError(f"vertex {v} is not in edge {j}, which reached it")
+            if listed.isdisjoint(edge):
+                raise ValueError(f"edge {j} reaches vertex {v} from no earlier vertex")
+        listed.add(v)
+    # each part's first vertex in the order is a start, as an edge reaching it
+    # would hold an earlier vertex of the part; so equal counts mean one each
+    starts = d.reached_by.count(-1)
+    if starts != d.count:
+        raise ValueError(f"the search has {starts} starts for {d.count} parts")
 
 
 def induced(g: Hypergraph, subset: Iterable[int]) -> tuple[Hypergraph, dict[int, int]]:
@@ -158,12 +201,3 @@ def induced(g: Hypergraph, subset: Iterable[int]) -> tuple[Hypergraph, dict[int,
         if all(v in relabel for v in edge):
             kept.append(tuple(relabel[v] for v in edge))
     return Hypergraph(len(labels), g.k, tuple(kept)), relabel
-
-
-def is_regular(g: Hypergraph) -> int | None:
-    """The common degree d when every vertex has it, otherwise None."""
-    degs = degrees(g)
-    first = degs[0]
-    if all(d == first for d in degs):
-        return first
-    return None

@@ -5,19 +5,9 @@ Two eigenpair notions are handled for an order-m tensor T:
     H:  T x^{m-1} = lambda * x^{[m-1]}        (x^{[p]} = entrywise p-th power)
     Z:  T x^{m-1} = lambda * x  and  x'x = 1
 
-The headline computation certifies that the number of connected components r
+``geometry_connectivity`` certifies that the number of connected components
 of a k-uniform hypergraph equals the maximum number of linearly independent
-nonnegative null eigenvectors of its Laplacian tensor L, witnessed by the
-component indicators 1_C. Every part C is checked to be closed under edges,
-so (L 1_C)_i is (L 1)_i on C and 0 elsewhere: one exact contraction L 1 of
-the whole hypergraph verifies every indicator, and beta counts those that
-pass. Maximality is not computed; it rests on two theorems. A weakly
-irreducible nonnegative tensor has a unique positive eigenvector up to
-scale (Friedland, Gaubert and Han, Linear Algebra Appl. 438, 2013), and the
-nonnegative null vectors of the Laplacian tensor are the nonnegative
-combinations of the component indicators (Hu and Qi, Discrete Appl. Math.
-169, 2014). Both apply to the certified parts: they are closed under edges,
-and the breadth-first search makes each part connected.
+nonnegative null eigenvectors of its Laplacian tensor.
 ``perron`` is a standalone solver for the spectral radius.
 """
 
@@ -38,8 +28,8 @@ from .errors import (
 from .hypergraph import (
     ComponentDecomposition,
     Hypergraph,
+    check_components,
     connected_components,
-    is_regular,
 )
 from .tensor import (
     Number,
@@ -111,11 +101,10 @@ class ConnectivityReport:
     Laplacian at 0, ``z_certificates`` the unit-norm indicators as
     Z-eigenvectors at 0, and ``rho_certificates`` (regular input only,
     otherwise None) the indicators as H-eigenvectors of the adjacency
-    tensor at the degree d. All three are read off one contraction L*1 of
-    the whole hypergraph (see ``geometry_connectivity``). ``beta``,
-    ``beta_z`` and ``beta_rho`` count the accepted certificates of each
-    set. The report takes O(n + k*m) memory for any number of components;
-    only output that pads every vector to length n is O(r*n).
+    tensor at the degree d. ``beta``, ``beta_z`` and ``beta_rho`` count
+    the accepted certificates of each set. The report takes O(n + k*m)
+    memory for any number of components; only output that pads every
+    vector to length n is O(r*n).
     """
 
     component_count: int
@@ -366,36 +355,32 @@ def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connectivi
     """Compute beta(G), beta_Z(G) and, for a regular input, beta_rho(G),
     with certificates, in one O(n + k*m) pass.
 
-    The parts of ``connected_components`` are checked first: ValueError
-    names a vertex that lies in no part or in two, or else the first edge
-    whose members lie in different parts. Every part C is then closed under
-    edges, so the one exact integer contraction y = L*1 of the whole
-    hypergraph gives each indicator's H residual, max |y_i| over C, and
-    from it the Z residual (``_indicator_certificates``). On a d-regular
-    input L = d*I - A gives A*1 - d*1 = -L*1, so the H certificates restate
-    as eigenpairs of the adjacency tensor at d with the same residual. The
-    betas count the accepted certificates, so a rejected one lowers them
-    below r.
+    ``check_components`` first raises ValueError unless the parts of
+    ``connected_components`` are the components; each part's connectivity
+    is checked against the search's spanning tree, not assumed from the
+    search. No edge leaves a part C, so (L*1_C)_i is (L*1)_i on C and 0
+    elsewhere, and the one exact integer contraction y = L*1 gives each
+    indicator's H residual, max |y_i| over C, and from it the Z residual
+    (``_indicator_certificates``). On a d-regular input A*1 - d*1 = -L*1,
+    so the H certificates restate as eigenpairs of the adjacency tensor at
+    d with the same residual. The betas count the accepted certificates,
+    so a rejected one lowers them.
+
+    Maximality is not computed; it rests on two theorems that hold for the
+    checked parts. A weakly irreducible nonnegative tensor has a unique
+    positive eigenvector up to scale (Friedland, Gaubert and Han, Linear
+    Algebra Appl. 438, 2013), and the nonnegative null vectors of L are the
+    nonnegative combinations of the component indicators (Hu and Qi,
+    Discrete Appl. Math. 169, 2014).
     """
     decomposition = connected_components(g)
-    parts = decomposition.parts
-    owner = [-1] * (g.n + 1)
-    for index, part in enumerate(parts):
-        for v in part:
-            if owner[v] >= 0:
-                raise ValueError(f"vertex {v} lies in parts {owner[v] + 1} and {index + 1}")
-            owner[v] = index
-    if -1 in owner[1:]:
-        raise ValueError(f"vertex {owner.index(-1, 1)} lies in no part")
-    for j, edge in enumerate(g.edges):
-        index = owner[edge[0]]
-        for v in edge:
-            if owner[v] != index:
-                raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")
-    degree = is_regular(g)
+    check_components(g, decomposition)
+    view = laplacian(g)
+    # the Laplacian's diagonal is the degree sequence
+    degree = view.diagonal[0] if len(set(view.diagonal)) == 1 else None
     regular = degree is not None
-    y = apply(laplacian(g), [1] * g.n)
-    keys = [(len(part), max(abs(y[v - 1]) for v in part)) for part in parts]
+    y = apply(view, [1] * g.n)
+    keys = [(len(part), max(abs(y[v - 1]) for v in part)) for part in decomposition.parts]
     # parts of one size and one residual share their certificates, so the
     # Fraction arithmetic runs once per distinct pair, not once per part
     pairs = {key: _indicator_certificates(*key, g.k, tol) for key in set(keys)}

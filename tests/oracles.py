@@ -1,9 +1,10 @@
 """Independent reference computations the library results are checked
-against. Nothing here goes through the implicit contraction kernel or the
-BFS decomposition. Weak irreducibility is checked the way it is defined:
-``support_digraph_of`` builds the support digraph of materialized tensor
-entries and ``strongly_connected_components`` (iterative Tarjan) splits it;
-the library itself only runs a breadth-first search."""
+against. Nothing here goes through the implicit contraction kernel, the
+BFS decomposition or its checker. Weak irreducibility is checked the way
+it is defined: ``support_digraph_of`` builds the support digraph of
+materialized tensor entries and ``strongly_connected_components``
+(iterative Tarjan) splits it; the library itself only runs a
+breadth-first search."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ from typing import Mapping, Sequence
 from geoconn import Hypergraph
 
 
-def union_find_components(g: Hypergraph) -> int:
+def union_find_parts(g: Hypergraph) -> list[tuple[int, ...]]:
+    """Connected components by union-find, by smallest member ascending,
+    each sorted ascending."""
     parent = list(range(g.n + 1))
 
     def find(a: int) -> int:
@@ -28,7 +31,38 @@ def union_find_components(g: Hypergraph) -> int:
         root = find(edge[0])
         for v in edge[1:]:
             parent[find(v)] = root
-    return len({find(v) for v in range(1, g.n + 1)})
+    parts: dict[int, list[int]] = {}
+    for v in range(1, g.n + 1):
+        parts.setdefault(find(v), []).append(v)
+    return sorted(tuple(part) for part in parts.values())
+
+
+def union_find_components(g: Hypergraph) -> int:
+    return len(union_find_parts(g))
+
+
+def spanning_forest_holds(g: Hypergraph, parts: Sequence[Sequence[int]],
+                          order: Sequence[int], reached_by: Sequence[int]) -> bool:
+    """Whether ``order`` and ``reached_by`` witness that every part is
+    connected: ``order`` lists each vertex once, the parts one after the
+    other; each part has exactly one vertex with ``reached_by`` -1, and
+    every other vertex v is a member of edge ``reached_by[v - 1]``, which
+    also holds a vertex of v's part that ``order`` lists before v."""
+    if sorted(order) != list(range(1, g.n + 1)) or len(reached_by) != g.n:
+        return False
+    part_of = {v: index for index, part in enumerate(parts) for v in part}
+    if len(part_of) != g.n or [part_of[v] for v in order] != sorted(part_of.values()):
+        return False
+    position = {v: index for index, v in enumerate(order)}
+    starts = [0] * len(parts)
+    for v in order:
+        j = reached_by[v - 1]
+        if j == -1:
+            starts[part_of[v]] += 1
+        elif not (0 <= j < g.m and v in g.edges[j] and any(
+                part_of[u] == part_of[v] and position[u] < position[v] for u in g.edges[j])):
+            return False
+    return starts == [1] * len(parts)
 
 
 def adjacency_entries(g: Hypergraph) -> dict[tuple[int, ...], Fraction]:

@@ -61,7 +61,10 @@ def test_parse_hypergraph_header_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("3 five 2\n")
     assert err.value.line == 1
-    for bad in ("1 5 0\n", "3 0 0\n", "3 5 -1\n", "2 1000001 0\n", "2 1 0\n", "5 3 0\n"):
+    # labels and counts are ASCII [0-9]+: int() would read 1_0 as 10, +3 as 3
+    # and the Arabic-Indic or fullwidth digits as 3
+    for bad in ("1 5 0\n", "3 0 0\n", "3 5 -1\n", "2 1000001 0\n", "2 1 0\n", "5 3 0\n",
+                "3 1_0 0\n", "+3 5 0\n", "3 5 0 0\n", "\u0663 5 0\n", "\uff13 5 0\n"):
         with pytest.raises(ParseError) as err:
             parse_hypergraph(bad)
         assert err.value.line == 1
@@ -82,9 +85,10 @@ def test_parse_hypergraph_edge_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("3 3 1\n1 2\n")
     assert err.value.line == 2
-    with pytest.raises(ParseError) as err:
-        parse_hypergraph("3 5 2\n1 2 3\n4 x 5\n")
-    assert err.value.line == 3
+    for label in ("x", "1_0", "+4", "-4", "4.0", "\u0664", "\uff14"):
+        with pytest.raises(ParseError, match="unsigned integer labels") as err:
+            parse_hypergraph(f"3 10 2\n1 2 3\n{label} 5 6\n")
+        assert err.value.line == 3
     # wrong uniformity detected by validation, reported on the edge's line
     with pytest.raises(ParseError) as err:
         parse_hypergraph("3 5 2\n1 2 3\n4 5\n")
@@ -304,6 +308,10 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert run(["beta", bad]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "bad.hg:2" in err
+    # int() reads 1_0 as vertex 10, which once gave 9 components
+    loose = write(tmp_path, "loose.hg", "2 1_0 1\n1 1_0\n")
+    assert run(["components", loose]) == EXIT_INPUT
+    assert "loose.hg:1: header must be 'k n m'" in capsys.readouterr().err
 
 
 def test_check_passes_on_good_input(tmp_path, capsys):
@@ -390,24 +398,36 @@ def test_report_rejected_perron_pair_exits_1(tmp_path, capsys, monkeypatch):
 
 def test_analysis_contracts_the_laplacian_once(tmp_path, capsys, monkeypatch):
     # one exact contraction L*1 of the whole hypergraph gives every
-    # component's H, Z and rho certificate and the report's Perron block
-    from geoconn import apply
+    # component's H, Z and rho certificate and the report's Perron block,
+    # and one degree pass gives L and the regular degree
+    from geoconn import apply, degrees
 
     views = []
+    degree_passes = []
 
     def counted(view, x):
         views.append(view.kind)
         return apply(view, x)
 
+    def counted_degrees(g):
+        degree_passes.append(g.n)
+        return degrees(g)
+
     monkeypatch.setattr("geoconn.spectral.apply", counted)
+    for module in ("hypergraph", "tensor", "cli"):
+        monkeypatch.setattr(f"geoconn.{module}.degrees", counted_degrees)
     for text, count in ((CYCLE, 1), (TWO_COMPONENTS, 3)):
         path = write(tmp_path, "g.hg", text)
         outputs = {}
         for argv in (["report", path], ["check", path], ["beta", path, "--z"]):
             views.clear()
+            degree_passes.clear()
             assert run(argv) == EXIT_OK
             outputs[argv[0]] = capsys.readouterr().out
             assert views == ["laplacian"], argv
+            # the report's Perron block takes the maximum degree once more
+            perron_block = argv[0] == "report" and count == 1
+            assert len(degree_passes) == 1 + perron_block, argv
         document = json.loads(outputs["report"])
         assert document["beta_z"] == count
         assert (document["perron"] is not None) == (count == 1)

@@ -14,11 +14,10 @@ from geoconn import (
     construct,
     degrees,
     induced,
-    is_regular,
 )
 
 from generators import random_hypergraph
-from oracles import union_find_components
+from oracles import spanning_forest_holds, union_find_parts
 
 
 def test_construct_normalizes_edges():
@@ -94,6 +93,9 @@ def test_components_two_parts_ordered_by_smallest_member():
     d = connected_components(g)
     assert d.parts == ((1, 3, 5), (2,), (4,), (6, 7))
     assert part_of_each_edge(g, d) == (3, 0, 0)
+    # the search tree: 3 reached through edge 1, 5 through edge 2, 7 through edge 0
+    assert d.order == (1, 3, 5, 2, 4, 6, 7)
+    assert d.reached_by == (-1, -1, 1, -1, 2, -1, 0)
 
 
 def test_components_edgeless():
@@ -112,7 +114,8 @@ def test_components_partition_and_match_union_find():
         seen = [v for part in d.parts for v in part]
         assert sorted(seen) == list(range(1, g.n + 1))
         assert None not in part_of_each_edge(g, d)
-        assert d.count == union_find_components(g)
+        assert list(d.parts) == union_find_parts(g)
+        assert spanning_forest_holds(g, d.parts, d.order, d.reached_by)
 
 
 def test_induced_relabels_and_maps():
@@ -152,11 +155,3 @@ def test_induced_on_component_matches_decomposition():
             assert connected_components(sub).count == 1
             expected = part_of_each_edge(g, d).count(index)
             assert sub.m == expected
-
-
-def test_is_regular():
-    assert is_regular(construct(4, 4, [(1, 2, 3, 4)])) == 1
-    assert is_regular(construct(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4)])) == 2
-    assert is_regular(construct(3, 2, [(1, 2)])) is None
-    # edgeless is 0-regular
-    assert is_regular(construct(3, 2, [])) == 0

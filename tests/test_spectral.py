@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from geoconn import (
-    ComponentDecomposition,
     DimensionError,
     NoConvergence,
     NotIrreducible,
@@ -44,6 +43,7 @@ from oracles import (
     loose_path_spectral_radius,
     power_iteration,
     rational_nullity,
+    spanning_forest_holds,
     union_find_components,
 )
 
@@ -376,7 +376,7 @@ def test_rejected_certificate_lowers_beta_and_fails_check(monkeypatch, tmp_path,
 
 def test_edge_leaving_its_part_is_refused(monkeypatch):
     g = construct(4, 3, [(1, 2, 3)])
-    cut = ComponentDecomposition(((1, 4), (2, 3)))
+    cut = replace(connected_components(g), parts=((1, 4), (2, 3)))
     monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: cut)
     with pytest.raises(ValueError, match="edge 0"):
         geometry_connectivity(g)
@@ -385,7 +385,7 @@ def test_edge_leaving_its_part_is_refused(monkeypatch):
 def test_vertex_left_out_of_the_parts_is_refused(monkeypatch, tmp_path):
     # vertex 4 is isolated; parts that drop it would pass as one component
     g = construct(4, 3, [(1, 2, 3)])
-    short = ComponentDecomposition(((1, 2, 3),))
+    short = replace(connected_components(g), parts=((1, 2, 3),))
     monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: short)
     with pytest.raises(ValueError, match="vertex 4 lies in no part"):
         geometry_connectivity(g)
@@ -397,10 +397,48 @@ def test_vertex_left_out_of_the_parts_is_refused(monkeypatch, tmp_path):
 
 def test_vertex_in_two_parts_is_refused(monkeypatch):
     g = construct(4, 3, [(1, 2, 3)])
-    twice = ComponentDecomposition(((1, 2, 3), (3, 4)))
+    twice = replace(connected_components(g), parts=((1, 2, 3), (3, 4)))
     monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: twice)
     with pytest.raises(ValueError, match="vertex 3 lies in parts 1 and 2"):
         geometry_connectivity(g)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # two components merged into one part: closed under edges, but two starts
+    ("parts", ((1, 2, 3, 4, 5, 6),), "2 starts for 1 parts"),
+    # vertex 5 said to be reached through the edge 1 2 3
+    ("reached_by", (-1, 0, 0, -1, 0, 1), "vertex 5 is not in edge 0"),
+    # vertex 4 moved to the first part
+    ("parts", ((1, 2, 3, 4), (5, 6)), r"edge 1 \[4, 5, 6\] leaves its component 1"),
+    # vertex 2 listed before any other member of the edge that reached it
+    ("order", (2, 1, 3, 4, 5, 6), "edge 0 reaches vertex 2 from no earlier vertex"),
+    ("order", (1, 2, 3, 4, 5), "the search order must list every vertex once"),
+])
+def test_broken_component_witness_is_refused(monkeypatch, tmp_path, field, value, message):
+    g = construct(6, 3, [(1, 2, 3), (4, 5, 6)])
+    witnessed = connected_components(g)
+    assert witnessed.order == (1, 2, 3, 4, 5, 6)
+    assert witnessed.reached_by == (-1, 0, 0, -1, 1, 1)
+    broken = replace(witnessed, **{field: value})
+    assert not spanning_forest_holds(g, broken.parts, broken.order, broken.reached_by)
+    monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: broken)
+    with pytest.raises(ValueError, match=message):
+        geometry_connectivity(g)
+    path = tmp_path / "g.hg"
+    path.write_text("3 6 2\n1 2 3\n4 5 6\n")
+    for argv in (["report"], ["beta"], ["beta", "--z"], ["check"]):
+        with pytest.raises(ValueError, match=message):
+            run(argv + [str(path)])
+
+
+def test_regular_degree_is_read_off_the_laplacian():
+    # the analysis takes the common degree from the Laplacian's diagonal
+    for g, degree in ((construct(4, 4, [(1, 2, 3, 4)]), 1),
+                      (construct(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2),
+                      (construct(3, 2, [(1, 2)]), None),
+                      (construct(3, 2, [(2, 3)]), None),
+                      (construct(3, 2, []), 0)):  # edgeless is 0-regular
+        assert geometry_connectivity(g).regular_degree == degree
 
 
 def test_z_connectivity_exact_on_perfect_square_components():
