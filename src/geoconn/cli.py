@@ -63,7 +63,10 @@ def _unsigned(line: str) -> tuple[int, ...] | None:
     int() alone also takes signs, underscores and non-ASCII digits."""
     fields = line.split()
     joined = "".join(fields)
-    return tuple(map(int, fields)) if joined.isascii() and joined.isdigit() else None
+    try:  # int() also refuses a field longer than sys.int_max_str_digits
+        return tuple(map(int, fields)) if joined.isascii() and joined.isdigit() else None
+    except ValueError:
+        return None
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -283,8 +286,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_components(args: argparse.Namespace) -> int:
     g = _load(args.hypergraph, parse_hypergraph)
-    decomposition = connected_components(g)
-    check_components(g, decomposition)
+    decomposition = check_components(g, connected_components(g))
     if args.format == "json":
         document = {
             "components": decomposition.count,

@@ -146,11 +146,11 @@ def connected_components(g: Hypergraph) -> ComponentDecomposition:
     return ComponentDecomposition(tuple(parts), tuple(order), tuple(reached_by[1:]))
 
 
-def check_components(g: Hypergraph, d: ComponentDecomposition) -> None:
-    """Raise ValueError unless ``d.parts`` are the components of ``g``, in
-    O(n + k*m) with no search: no edge leaves a part, so none is split, and
-    every vertex but one start per part is reached through an edge holding
-    an earlier vertex of ``d.order``, so each part is connected."""
+def check_components(g: Hypergraph, d: ComponentDecomposition) -> ComponentDecomposition:
+    """Return ``d`` once checked to hold the components of ``g``, else raise
+    ValueError, in O(n + k*m) with no search: no edge leaves a part, so none
+    is split, and every vertex but one start per part is reached through an
+    edge holding an earlier vertex of ``d.order``, so each part is connected."""
     owner = [-1] * (g.n + 1)
     for index, part in enumerate(d.parts):
         for v in part:
@@ -164,23 +164,23 @@ def check_components(g: Hypergraph, d: ComponentDecomposition) -> None:
         for v in edge:
             if owner[v] != index:
                 raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")
-    if sorted(d.order) != list(g.vertices()) or len(d.reached_by) != g.n:
+    if len(d.order) != g.n or len(d.reached_by) != g.n:
         raise ValueError("the search order must list every vertex once")
-    edges, listed = g.edges, set()
+    listed: set[int] = set()
     for v in d.order:
+        if v in listed or not 1 <= v <= g.n:
+            raise ValueError("the search order must list every vertex once")
         j = d.reached_by[v - 1]
-        if j != -1:
-            edge = edges[j] if 0 <= j < len(edges) else ()
-            if v not in edge:
-                raise ValueError(f"vertex {v} is not in edge {j}, which reached it")
-            if listed.isdisjoint(edge):
-                raise ValueError(f"edge {j} reaches vertex {v} from no earlier vertex")
+        edge = g.edges[j] if 0 <= j < g.m else ()
+        if j != -1 and v not in edge:
+            raise ValueError(f"vertex {v} is not in edge {j}, which reached it")
+        if j != -1 and listed.isdisjoint(edge):
+            raise ValueError(f"edge {j} reaches vertex {v} from no earlier vertex")
         listed.add(v)
-    # each part's first vertex in the order is a start, as an edge reaching it
-    # would hold an earlier vertex of the part; so equal counts mean one each
-    starts = d.reached_by.count(-1)
-    if starts != d.count:
-        raise ValueError(f"the search has {starts} starts for {d.count} parts")
+    # no edge leaves a part, so its first listed vertex is a start: one each
+    if d.reached_by.count(-1) != d.count:
+        raise ValueError(f"the search has {d.reached_by.count(-1)} starts for {d.count} parts")
+    return d
 
 
 def induced(g: Hypergraph, subset: Iterable[int]) -> tuple[Hypergraph, dict[int, int]]:

@@ -373,12 +373,10 @@ def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connectivi
     nonnegative combinations of the component indicators (Hu and Qi,
     Discrete Appl. Math. 169, 2014).
     """
-    decomposition = connected_components(g)
-    check_components(g, decomposition)
+    decomposition = check_components(g, connected_components(g))
     view = laplacian(g)
     # the Laplacian's diagonal is the degree sequence
     degree = view.diagonal[0] if len(set(view.diagonal)) == 1 else None
-    regular = degree is not None
     y = apply(view, [1] * g.n)
     keys = [(len(part), max(abs(y[v - 1]) for v in part)) for part in decomposition.parts]
     # parts of one size and one residual share their certificates, so the
@@ -386,12 +384,12 @@ def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connectivi
     pairs = {key: _indicator_certificates(*key, g.k, tol) for key in set(keys)}
     h_certs = tuple(pairs[key][0] for key in keys)
     z_certs = tuple(pairs[key][1] for key in keys)
-    rho_certs = tuple(replace(h, eigenvalue=degree) for h in h_certs) if regular else None
+    rho_certs = None if degree is None else tuple(replace(h, eigenvalue=degree) for h in h_certs)
     return ConnectivityReport(
         component_count=decomposition.count,
         beta=_accepted(h_certs),
         beta_z=_accepted(z_certs),
-        beta_rho=_accepted(rho_certs) if regular else None,
+        beta_rho=None if rho_certs is None else _accepted(rho_certs),
         certificates=h_certs,
         weakly_irreducible=decomposition.count == 1,  # see is_weakly_irreducible
         regular_degree=degree,

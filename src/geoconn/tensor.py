@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import DimensionError, NotNonnegative
-from .hypergraph import Hypergraph, connected_components, degrees
+from .hypergraph import Hypergraph, check_components, connected_components, degrees
 
 Number = Union[int, float, Fraction]
 
@@ -156,9 +156,9 @@ def is_weakly_irreducible(view: HypergraphView) -> bool:
 
     The support links every two members of an edge both ways, so this is
     connectivity of the hypergraph (Pearson and Zhang, Graphs Combin. 30,
-    2014), decided by one incidence breadth-first search in O(k*m + n).
-    A Laplacian view with an edge, or a negative diagonal entry, raises
-    NotNonnegative.
+    2014), decided by one incidence breadth-first search in O(k*m + n) and
+    checked by ``check_components``. A Laplacian view with an edge, or a
+    negative diagonal entry, raises NotNonnegative.
     """
     _require_nonnegative(view)
-    return connected_components(view.graph).count == 1
+    return check_components(view.graph, connected_components(view.graph)).count == 1

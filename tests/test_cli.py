@@ -64,7 +64,9 @@ def test_parse_hypergraph_header_errors_carry_line_numbers():
     # labels and counts are ASCII [0-9]+: int() would read 1_0 as 10, +3 as 3
     # and the Arabic-Indic or fullwidth digits as 3
     for bad in ("1 5 0\n", "3 0 0\n", "3 5 -1\n", "2 1000001 0\n", "2 1 0\n", "5 3 0\n",
-                "3 1_0 0\n", "+3 5 0\n", "3 5 0 0\n", "\u0663 5 0\n", "\uff13 5 0\n"):
+                "3 1_0 0\n", "+3 5 0\n", "3 5 0 0\n", "\u0663 5 0\n", "\uff13 5 0\n",
+                # int() refuses more digits than sys.int_max_str_digits
+                f"3 {'1' * 5000} 0\n"):
         with pytest.raises(ParseError) as err:
             parse_hypergraph(bad)
         assert err.value.line == 1
@@ -85,7 +87,7 @@ def test_parse_hypergraph_edge_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("3 3 1\n1 2\n")
     assert err.value.line == 2
-    for label in ("x", "1_0", "+4", "-4", "4.0", "\u0664", "\uff14"):
+    for label in ("x", "1_0", "+4", "-4", "4.0", "\u0664", "\uff14", "1" * 5000):
         with pytest.raises(ParseError, match="unsigned integer labels") as err:
             parse_hypergraph(f"3 10 2\n1 2 3\n{label} 5 6\n")
         assert err.value.line == 3

@@ -413,6 +413,8 @@ def test_vertex_in_two_parts_is_refused(monkeypatch):
     # vertex 2 listed before any other member of the edge that reached it
     ("order", (2, 1, 3, 4, 5, 6), "edge 0 reaches vertex 2 from no earlier vertex"),
     ("order", (1, 2, 3, 4, 5), "the search order must list every vertex once"),
+    ("order", (1, 2, 3, 4, 5, 5), "the search order must list every vertex once"),
+    ("order", (1, 2, 3, 4, 5, 7), "the search order must list every vertex once"),
 ])
 def test_broken_component_witness_is_refused(monkeypatch, tmp_path, field, value, message):
     g = construct(6, 3, [(1, 2, 3), (4, 5, 6)])
@@ -421,12 +423,16 @@ def test_broken_component_witness_is_refused(monkeypatch, tmp_path, field, value
     assert witnessed.reached_by == (-1, 0, 0, -1, 1, 1)
     broken = replace(witnessed, **{field: value})
     assert not spanning_forest_holds(g, broken.parts, broken.order, broken.reached_by)
-    monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: broken)
+    for module in ("spectral", "tensor", "cli"):
+        monkeypatch.setattr(f"geoconn.{module}.connected_components", lambda _: broken)
     with pytest.raises(ValueError, match=message):
         geometry_connectivity(g)
+    # the weak irreducibility gate of perron checks the same witness
+    with pytest.raises(ValueError, match=message):
+        perron(adjacency(g))
     path = tmp_path / "g.hg"
     path.write_text("3 6 2\n1 2 3\n4 5 6\n")
-    for argv in (["report"], ["beta"], ["beta", "--z"], ["check"]):
+    for argv in (["report"], ["beta"], ["beta", "--z"], ["check"], ["components"], ["perron"]):
         with pytest.raises(ValueError, match=message):
             run(argv + [str(path)])
 
