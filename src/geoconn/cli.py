@@ -3,7 +3,10 @@
 Hypergraph files are plain text: a header line ``k n m`` followed by m edge
 lines of k 1-based vertex labels each, whitespace separated, every field
 ASCII [0-9]+, with 2 <= k <= n and n at most ``MAX_VERTICES`` (1,000,000).
-Blank lines and ``#`` comments (full line or trailing) are ignored.  Vector
+Blank lines and ``#`` comments (full line or trailing) are ignored.  The
+edge lines are read ``CHUNK_LINES`` at a time into one flat list of labels,
+which ``construct`` validates in bulk; only a refused file is read again
+line by line, to name the line of its first fault.  Vector
 files hold one number per line, as an integer, a rational ``p/q`` or a
 finite decimal; integer and rational entries keep the computation exact.
 Files must be UTF-8.
@@ -21,6 +24,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from math import inf, isfinite, nan
 from typing import Iterator, Sequence, TextIO
 
@@ -50,9 +54,14 @@ TENSOR_VIEWS = {"adjacency": adjacency, "laplacian": laplacian,
                 "laplacian-shifted": shifted_laplacian}
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    # yields (1-based line number, stripped content) for non-empty lines
-    for number, raw in enumerate(text.splitlines(), start=1):
+# body lines tokenized at a time: the ingest holds the string tokens of one
+# chunk, never of the whole file
+CHUNK_LINES = 4096
+
+
+def _content_lines(lines: Sequence[str], start: int = 0) -> Iterator[tuple[int, str]]:
+    # yields (1-based line number, stripped content) for non-empty lines[start:]
+    for number, raw in enumerate(islice(lines, start, None), start=start + 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield number, line
@@ -69,14 +78,67 @@ def _unsigned(line: str) -> tuple[int, ...] | None:
         return None
 
 
+def _body_labels(lines: list[str], start: int, k: int, m: int,
+                 comments: bool) -> list[int] | None:
+    """The labels of the m edge lines in lines[start:], flat in file order,
+    or None unless every field is ASCII [0-9]+ and there are exactly m
+    non-empty lines of k fields each. Works CHUNK_LINES lines at a time."""
+    labels: list[int] = []
+    rows_seen = 0
+    for first in range(start, len(lines), CHUNK_LINES):
+        chunk = lines[first:first + CHUNK_LINES]
+        if comments:
+            chunk = [line.split("#", 1)[0] for line in chunk]
+        rows = list(filter(None, map(str.split, chunk)))
+        rows_seen += len(rows)
+        if not rows:
+            continue
+        if rows_seen > m or set(map(len, rows)) != {k}:
+            return None
+        joined = "".join(chain.from_iterable(rows))
+        if not (joined.isascii() and joined.isdigit()):
+            return None
+        try:  # int() refuses a field longer than sys.int_max_str_digits
+            labels.extend(map(int, chain.from_iterable(rows)))
+        except ValueError:
+            return None
+    return labels if rows_seen == m else None
+
+
+def _raise_body_error(lines: list[str], header_line: int, n: int, k: int, m: int) -> None:
+    """Raise the ParseError of the first fault in the edge lines after the
+    header, found one line at a time; return when there is none."""
+    body = list(_content_lines(lines, header_line))
+    if len(body) != m:
+        raise ParseError(f"header promises {m} edges, file has {len(body)}",
+                         line=header_line)
+    edges = []
+    for line_number, line in body:
+        edge = _unsigned(line)
+        if edge is None:
+            raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
+                             line=line_number)
+        edges.append(edge)
+    try:
+        construct(n, k, edges)
+    except EdgeError as exc:
+        line_number = body[exc.edge_index][0] if exc.edge_index is not None else None
+        raise ParseError(str(exc), line=line_number) from exc
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the ``k n m`` + edge-lines format. Raises ParseError with the
     offending 1-based line number, or the underlying edge validation error
-    wrapped with its line."""
-    lines = list(_content_lines(text))
-    if not lines:
+    wrapped with its line.
+
+    The edge lines are tokenized in chunks of CHUNK_LINES into one flat
+    label list, and ``construct`` validates all edges in bulk. Only when
+    either refuses does a line-by-line re-scan run, to name the first
+    faulty line."""
+    lines = text.splitlines()
+    header_line, header = next(_content_lines(lines), (None, ""))
+    if header_line is None:
         raise ParseError("empty input, expected a 'k n m' header", line=None)
-    header_line, header = lines[0]
     numbers = _unsigned(header)
     if numbers is None or len(numbers) != 3:
         raise ParseError(f"header must be 'k n m', three unsigned integers, got {header!r}",
@@ -91,22 +153,15 @@ def parse_hypergraph(text: str) -> Hypergraph:
         # no edge of k distinct labels fits in 1..n (this covers n = 0); it
         # also bounds the exponent k - 1 of every contraction by MAX_VERTICES
         raise ParseError(f"uniformity k must be at most n = {n}, got {k}", line=header_line)
-    body = lines[1:]
-    if len(body) != m:
-        raise ParseError(f"header promises {m} edges, file has {len(body)}",
-                         line=header_line)
-    edges = []
-    for line_number, line in body:
-        edge = _unsigned(line)
-        if edge is None:
-            raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
-                             line=line_number)
-        edges.append(edge)
-    try:
-        return construct(n, k, edges)
-    except EdgeError as exc:
-        line_number = body[exc.edge_index][0] if exc.edge_index is not None else None
-        raise ParseError(str(exc), line=line_number) from exc
+    labels = _body_labels(lines, header_line, k, m, "#" in text)
+    if labels is not None:
+        try:
+            return construct(n, k, zip(*[iter(labels)] * k))
+        except EdgeError:
+            pass
+    _raise_body_error(lines, header_line, n, k, m)
+    raise RuntimeError("internal error: the bulk parse refused a file "
+                       "in which the line-by-line re-scan finds no fault")
 
 
 def parse_scalar(token: str) -> Number:
@@ -132,7 +187,7 @@ def parse_scalar(token: str) -> Number:
 
 def parse_vector(text: str) -> list[Number]:
     values: list[Number] = []
-    for line_number, line in _content_lines(text):
+    for line_number, line in _content_lines(text.splitlines()):
         for token in line.split():
             try:
                 values.append(parse_scalar(token))

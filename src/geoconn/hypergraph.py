@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -40,25 +42,16 @@ class Hypergraph:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"uniformity k must be an integer >= 2, got {self.k!r}")
-        seen: set[Edge] = set()
-        normalized: list[Edge] = []
-        for idx, raw in enumerate(self.edges):
-            members = tuple(raw)
-            if len(set(members)) != len(members):
-                raise MalformedEdge(f"edge {idx} has a repeated vertex: {list(members)}", idx)
-            if len(members) != self.k:
-                raise WrongUniformity(
-                    f"edge {idx} has {len(members)} vertices, expected k={self.k}", idx)
-            for v in members:
-                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= self.n:
-                    raise LabelOutOfRange(
-                        f"edge {idx}: vertex label {v!r} outside 1..{self.n}", idx)
-            edge = tuple(sorted(members))
-            if edge in seen:
-                raise DuplicateEdge(f"edge {idx} duplicates an earlier edge: {list(edge)}", idx)
-            seen.add(edge)
-            normalized.append(edge)
-        object.__setattr__(self, "edges", tuple(normalized))
+        raw = tuple(self.edges)  # no copy when edges is a tuple already
+        try:
+            edges = tuple(map(tuple, map(sorted, raw)))
+        except TypeError:  # an edge that is not iterable, or unorderable labels
+            edges = None
+        if edges is None or not _valid(self.n, self.k, edges):
+            _raise_first_error(self.n, self.k, raw)
+            raise RuntimeError("internal error: bulk validation refused edges "
+                               "that the per-edge re-scan accepts")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:
@@ -68,6 +61,44 @@ class Hypergraph:
     def vertices(self) -> range:
         """Labels 1..n in ascending order."""
         return range(1, self.n + 1)
+
+
+def _valid(n: int, k: int, edges: tuple[tuple, ...]) -> bool:
+    """Whether edges, each sorted, pass every check of ``_raise_first_error``,
+    decided by C-level passes over the columns instead of a loop per label."""
+    if not edges:
+        return True
+    if set(map(len, edges)) != {k}:
+        return False
+    if not all(issubclass(t, int) and not issubclass(t, bool)
+               for t in set(map(type, chain.from_iterable(edges)))):
+        return False
+    columns = tuple(zip(*edges))
+    if min(columns[0]) < 1 or max(columns[-1]) > n:
+        return False
+    # sorted members are distinct iff each column is strictly below the next
+    if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
+        return False
+    return len(set(edges)) == len(edges)
+
+
+def _raise_first_error(n: int, k: int, raw_edges) -> None:
+    """Raise the error of the first invalid edge, checked one edge at a
+    time; return when every edge is valid."""
+    seen: set[Edge] = set()
+    for idx, raw in enumerate(raw_edges):
+        members = tuple(raw)
+        if len(set(members)) != len(members):
+            raise MalformedEdge(f"edge {idx} has a repeated vertex: {list(members)}", idx)
+        if len(members) != k:
+            raise WrongUniformity(f"edge {idx} has {len(members)} vertices, expected k={k}", idx)
+        for v in members:
+            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+                raise LabelOutOfRange(f"edge {idx}: vertex label {v!r} outside 1..{n}", idx)
+        edge = tuple(sorted(members))
+        if edge in seen:
+            raise DuplicateEdge(f"edge {idx} duplicates an earlier edge: {list(edge)}", idx)
+        seen.add(edge)
 
 
 @dataclass(frozen=True)
@@ -96,7 +127,7 @@ def construct(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     when the edge list is invalid; the exception records the offending edge
     index.
     """
-    return Hypergraph(n, k, tuple(tuple(e) for e in edges))
+    return Hypergraph(n, k, tuple(map(tuple, edges)))
 
 
 def degrees(g: Hypergraph) -> tuple[int, ...]:

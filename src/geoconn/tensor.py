@@ -9,8 +9,11 @@ these is ever materialized: the contraction
 
     (T x^{k-1})_i = sum_{i_2..i_k} t_{i i_2...i_k} x_{i_2} ... x_{i_k}
 
-is evaluated edge by edge, where the (k-1)! symmetric copies of each edge
-cancel the 1/(k-1)! weight analytically. Evaluation never leaves the input
+is evaluated over the edges, where the (k-1)! symmetric copies of each edge
+cancel the 1/(k-1)! weight analytically: the products are formed column by
+column over the edges' k member columns, and the terms are then added into
+their entries edge by edge, so each entry sums in edge order and float
+results are those of a per-edge loop. Evaluation never leaves the input
 number domain, so integer or Fraction vectors produce exact results.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from typing import Sequence, Union
 
 from .errors import DimensionError, NotNonnegative
@@ -64,11 +67,6 @@ class HypergraphView:
     def is_exact(self) -> bool:
         return all(is_exact_scalar(d) for d in self.diagonal)
 
-    @cached_property
-    def _edges0(self) -> tuple[tuple[int, ...], ...]:
-        # 0-based member indices, precomputed for the contraction hot loop
-        return tuple(tuple(v - 1 for v in e) for e in self.graph.edges)
-
 
 def adjacency(g: Hypergraph) -> HypergraphView:
     """Adjacency tensor view A_G."""
@@ -97,28 +95,42 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
 
         c_i * x_i^{k-1} + sign * sum_{e containing i} prod_{j in e, j != i} x_j
 
-    computed in O(k*m + n) per call via per-edge prefix/suffix products.
-    The arithmetic stays in the domain of the inputs, so integer or Fraction
-    vectors give exact integers or Fractions back.
+    computed in O(k*m + n) per call. The k member columns of the edges are
+    gathered once; each edge's products excluding one position are formed
+    column by column from prefix and suffix products, without division;
+    then every term is added to its entry edge by edge, so each entry sums
+    its terms in edge order and float results do not depend on the columns.
+    The arithmetic stays in the domain of the inputs, so integer or
+    Fraction vectors give exact integers or Fractions back.
     """
     xs = list(x)
     if len(xs) != view.dim:
         raise DimensionError(f"vector has length {len(xs)}, tensor dimension is {view.dim}")
-    power = view.graph.k - 1
-    out = [c * (v ** power) for c, v in zip(view.diagonal, xs)]
+    k = view.graph.k
+    out = [c * (v ** (k - 1)) for c, v in zip(view.diagonal, xs)]
+    edges = view.graph.edges
+    if not edges:
+        return out
+    xs.insert(0, 0)  # slot 0 is never read: labels are 1-based
+    out.insert(0, 0)
+    values = [list(map(xs.__getitem__, column)) for column in zip(*edges)]
+    # prefixes[p] = x_0 * ... * x_{p-1} and suffixes[p] = x_{k-1} * ... * x_{p+1}
+    # over each edge's members x_0..x_{k-1}, multiplied in that order
+    prefixes: list = [None] * k
+    prefixes[1] = values[0]
+    for p in range(2, k):
+        prefixes[p] = [a * b for a, b in zip(prefixes[p - 1], values[p - 1])]
+    suffixes: list = [None] * k
+    suffixes[k - 2] = values[k - 1]
+    for p in range(k - 3, -1, -1):
+        suffixes[p] = [a * b for a, b in zip(suffixes[p + 1], values[p + 1])]
+    terms = [suffixes[0]]
+    terms += ([a * b for a, b in zip(prefixes[p], suffixes[p])] for p in range(1, k - 1))
+    terms.append(prefixes[k - 1])
     sign = view.sign
-    for edge in view._edges0:
-        values = [xs[i] for i in edge]
-        # product over the edge excluding each position, without division
-        prefix = 1
-        prefixes = []
-        for v in values:
-            prefixes.append(prefix)
-            prefix = prefix * v
-        suffix = 1
-        for pos in range(len(edge) - 1, -1, -1):
-            out[edge[pos]] = out[edge[pos]] + sign * (prefixes[pos] * suffix)
-            suffix = suffix * values[pos]
+    for i, term in zip(chain.from_iterable(edges), chain.from_iterable(zip(*terms))):
+        out[i] += sign * term
+    del out[0]
     return out
 
 

@@ -110,6 +110,30 @@ def dense_apply(entries: dict[tuple[int, ...], Fraction], dim: int, x) -> list:
     return out
 
 
+def edge_by_edge_apply(view, x) -> list:
+    """T x^{k-1} of a hypergraph view by the per-edge kernel: for each edge
+    in order, its prefix and suffix products, and one sum into every member.
+    It adds each term in the same order and associates each product the
+    same way as the library's column-wise kernel, so it pins that kernel's
+    results to the bit, types and signs of zero included."""
+    xs = list(x)
+    power = view.graph.k - 1
+    out = [c * (v ** power) for c, v in zip(view.diagonal, xs)]
+    for edge in view.graph.edges:
+        values = [xs[i - 1] for i in edge]
+        prefix = 1
+        prefixes = []
+        for v in values:
+            prefixes.append(prefix)
+            prefix = prefix * v
+        suffix = 1
+        for pos in range(len(edge) - 1, -1, -1):
+            i = edge[pos] - 1
+            out[i] = out[i] + view.sign * (prefixes[pos] * suffix)
+            suffix = suffix * values[pos]
+    return out
+
+
 def support_digraph_of(entries: Mapping[tuple[int, ...], Fraction],
                        dim: int) -> dict[int, tuple[int, ...]]:
     """Arcs (i, j) for every entry t_{i i2..im} and every j among i2..im, on

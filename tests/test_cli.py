@@ -10,6 +10,7 @@ import pytest
 
 from geoconn import NotNonnegative, ParseError, laplacian, perron
 from geoconn.cli import (
+    CHUNK_LINES,
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_NO_CONVERGENCE,
@@ -98,6 +99,36 @@ def test_parse_hypergraph_edge_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("# c\n3 5 2\n1 2 3\n3 2 1\n")
     assert err.value.line == 4
+    # the edge lines are tokenized CHUNK_LINES at a time: a fault past the
+    # first chunk, in a CRLF file with comment lines, keeps its line
+    for fault, message in (
+            ("13801 x 13803",
+             "edge line must hold unsigned integer labels, got '13801 x 13803'"),
+            ("13801 13802", "edge 6900 has 2 vertices, expected k=3"),
+            ("13801 13801 13803  # repeated",
+             "edge 6900 has a repeated vertex: [13801, 13801, 13803]"),
+            ("0 13802 13803", "edge 6900: vertex label 0 outside 1..14001"),
+            ("13801 13802 14002", "edge 6900: vertex label 14002 outside 1..14001"),
+            ("3 2 1", "edge 6900 duplicates an earlier edge: [1, 2, 3]")):
+        text = long_path_file(fault_at_edge_6900=fault)
+        assert text.count("\r\n") > 2 * CHUNK_LINES
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert (err.value.line, str(err.value)) == (8629, message)
+    assert parse_hypergraph(long_path_file("13801 13802 13803")).m == 7000
+
+
+def long_path_file(fault_at_edge_6900: str) -> str:
+    """A 3-uniform loose path of 7,000 edges in 8,752 CRLF lines, with a
+    comment line before every fourth edge; edge 6900 sits on line 8629 and
+    its line is replaced by the given text."""
+    m = 7000
+    lines = ["# a loose path, CRLF line ends", f"3 {2 * m + 1} {m}  # k n m"]
+    for j in range(m):
+        if j % 4 == 0:
+            lines.append(f"# edges {j}..{j + 3}")
+        lines.append(fault_at_edge_6900 if j == 6900 else f"{2 * j + 1} {2 * j + 2} {2 * j + 3}")
+    return "\r\n".join(lines) + "\r\n"
 
 
 def test_parse_scalar_forms():

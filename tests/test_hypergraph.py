@@ -46,6 +46,28 @@ def test_construct_rejects_label_out_of_range():
         construct(4, 3, [(0, 1, 2)])
     with pytest.raises(LabelOutOfRange):
         construct(4, 3, [(1, 2, "3")])
+    # labels equal to ints, or that cannot be sorted, are still refused by label
+    for edge in ((True, 2, 3), (1.0, 2, 3), (1, "a", 2)):
+        with pytest.raises(LabelOutOfRange) as err:
+            construct(4, 3, [(1, 2, 4), edge])
+        assert err.value.edge_index == 1
+
+
+def test_construct_reports_the_earliest_faulty_edge():
+    """With faults of two kinds, the error of the earlier edge wins,
+    whichever check would find the other one first."""
+    cases = [
+        ([(1, 2, 5), (1, 1, 2)], LabelOutOfRange, 0),
+        ([(1, 2, 3), (2, 2, 4), (1, 2, 5)], MalformedEdge, 1),
+        ([(1, 2), (1, 2, 3), (3, 2, 1)], WrongUniformity, 0),
+        ([(1, 2, 3), (3, 2, 1), (0, 1, 2)], DuplicateEdge, 1),
+        ([(1, 2, 3), (1, 2, 3, 4), (1, 2, 3)], WrongUniformity, 1),
+        ([(1, 2, 4), (1, 2, 3), (2, 3, 4, 4), (4, 3, 2)], MalformedEdge, 2),
+    ]
+    for edges, error, index in cases:
+        with pytest.raises(error) as err:
+            construct(4, 3, edges)
+        assert type(err.value) is error and err.value.edge_index == index, edges
 
 
 def test_construct_rejects_duplicate_edge():

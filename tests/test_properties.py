@@ -1,5 +1,6 @@
 """Property tests on small random inputs: the eigenpair checker against a
-brute-force contraction, the file format round trip, the rejection of
+brute-force contraction, the contraction kernel against the per-edge
+kernel bit for bit, the file format round trip, the rejection of
 perturbed component indicators, and the JSON renderer against
 ``json.dumps(indent=2)``. Runs are derandomized and keep no example
 database, so they are repeatable."""
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from geoconn import (
     ParseError,
     adjacency,
+    apply,
     connected_components,
     construct,
     degrees,
@@ -28,6 +30,7 @@ from geoconn.cli import _json, parse_hypergraph
 from oracles import (
     adjacency_entries,
     dense_apply,
+    edge_by_edge_apply,
     laplacian_entries,
     shifted_laplacian_entries,
 )
@@ -77,6 +80,30 @@ def test_checker_residual_matches_a_dense_contraction(data):
         assert h.exact and z.exact
         assert h.residual == Fraction(h_defect) / h_scale, view.kind
         assert z.residual == max(z_defect, z_norm), view.kind
+
+
+finite_floats = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6),
+                          st.floats(allow_nan=False, allow_infinity=False))
+# hypothesis favours floats that add without rounding; uniform draws round,
+# so they tell apart the orders in which an entry sums its terms
+uniform_floats = st.randoms(use_true_random=False).map(lambda r: r.uniform(-10, 10))
+vectors_of = {"int": st.integers(-10**6, 10**6),
+              "Fraction": st.fractions(max_denominator=10**4),
+              "float": st.one_of(finite_floats, uniform_floats)}
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_matches_the_edge_by_edge_kernel_bit_for_bit(data):
+    g = data.draw(hypergraphs())
+    kind = data.draw(st.sampled_from(sorted(vectors_of)))
+    x = data.draw(st.lists(vectors_of[kind], min_size=g.n, max_size=g.n))
+    for view in (adjacency(g), laplacian(g), shifted_laplacian(g)):
+        got, want = apply(view, x), edge_by_edge_apply(view, x)
+        # repr tells floats apart by every bit, -0.0 from 0.0 too, and
+        # names Fractions; nan (from inf - inf) reprs as itself
+        assert list(map(type, got)) == list(map(type, want)), (view.kind, kind)
+        assert list(map(repr, got)) == list(map(repr, want)), (view.kind, kind)
 
 
 noise = st.lists(st.sampled_from(["", "   ", "# comment", "\t# 1 2 3"]), max_size=2)
