@@ -12,7 +12,13 @@ finite decimal; integer and rational entries keep the computation exact.
 Files must be UTF-8.
 
 JSON output (``--format json`` and ``report``) is ``json.dumps(document,
-indent=2)`` byte for byte; ``_json`` renders it through the C encoder.
+indent=2)`` byte for byte; ``_json`` renders it in pieces, its lists of
+scalars through the C encoder.  A certificate vector padded with zeros to
+length n (``_Padded``) renders as runs of zeros between the vertices of its
+part, so schema "1" output, O(r*n) bytes for r components, takes O(n + r)
+Python steps.  ``_emit`` writes every output, JSON or text, joined
+``EMIT_CHARS`` characters at a time, so it is never held whole and the
+commands need O(n + k*m) memory.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 2 malformed input, 3 iteration did not converge (``perron`` only).
@@ -26,7 +32,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice
 from math import inf, isfinite, nan
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import EdgeError, GeoconnError, IoError, NoConvergence, ParseError
 from .hypergraph import Hypergraph, check_components, connected_components, construct, degrees
@@ -226,20 +232,35 @@ def _decimal(value: Number) -> str:
     return repr(value)
 
 
-def _printed_vector(certificate: EigenpairCertificate, part: Sequence[int],
-                    n: int) -> list[str]:
-    """The certificate's vector, whose entries belong to the vertices of
-    ``part`` in order, as n decimals with "0" on every other vertex."""
-    entries = ["0"] * n
-    for v, entry in zip(part, certificate.vector):
-        entries[v - 1] = _decimal(entry)
-    return entries
+class _Padded:
+    """A vector of n decimals: the ``_decimal`` of ``vector[i]`` on vertex
+    ``part[i]`` of the ascending ``part`` and "0" on every other vertex.
+    It is kept as its part, so it renders in O(len(part)) steps as runs of
+    zeros between the part's vertices, plus copying the bytes."""
+
+    __slots__ = ("part", "entries", "n")
+
+    def __init__(self, part: Sequence[int], vector: Sequence[Number], n: int):
+        self.part, self.entries, self.n = part, [_decimal(v) for v in vector], n
+
+    def joined(self, zero: str, separator: str, quote=str) -> Iterator[str]:
+        """``separator.join`` of the n items, in pieces: ``zero`` off the
+        part, the entries printed by ``quote`` on it."""
+        item = zero + separator
+        previous = 0
+        for v, entry in zip(self.part, map(quote, self.entries)):
+            yield item * (v - previous - 1) + entry
+            if v < self.n:
+                yield separator
+            previous = v
+        if previous < self.n:
+            yield item * (self.n - previous - 1) + zero
 
 
 def _certificate_document(certificate: EigenpairCertificate, part: Sequence[int],
                           n: int) -> dict:
     return {
-        "vector": _printed_vector(certificate, part, n),
+        "vector": _Padded(part, certificate.vector, n),
         "lambda": _decimal(certificate.eigenvalue),
         "variant": certificate.variant,
         "residual": _decimal(certificate.residual),
@@ -287,16 +308,17 @@ def _report_document(g: Hypergraph, source: str, report: ConnectivityReport) -> 
     }
 
 
-def _json(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte.
+def _json(value) -> Iterator[str]:
+    """``json.dumps(value, indent=2)``, byte for byte, in pieces.
 
     ``json.dumps`` takes its C encoder only when ``indent`` is None, so with
     an indent it yields every certificate entry from pure Python.  This
     walks dicts and lists of containers as that encoder does, and hands
     each list of scalars to the C encoder in one call, with the newline and
-    padding in the item separator.  A list is classified by its first item:
-    every list the CLI emits holds only containers or only scalars.  Dict
-    keys are strings.
+    padding in the item separator.  A ``_Padded`` vector prints as the list
+    of its n strings, its zeros as runs of the quoted ``"0"`` and that
+    separator.  A list is classified by its first item: every list the CLI
+    emits holds only containers or only scalars.  Dict keys are strings.
     """
     def chunks(value, pad: str) -> Iterator[str]:
         inner = pad + "  "
@@ -307,6 +329,10 @@ def _json(value) -> str:
                 yield from chunks(item, inner)
                 opener = ","
             yield f"\n{pad}}}"
+        elif isinstance(value, _Padded):
+            yield f"[\n{inner}"
+            yield from value.joined('"0"', ",\n" + inner, json.dumps)
+            yield f"\n{pad}]"
         elif isinstance(value, (list, tuple)) and value:
             if isinstance(value[0], (dict, list, tuple)):
                 opener = "["
@@ -321,20 +347,39 @@ def _json(value) -> str:
         else:
             yield json.dumps(value)  # a scalar, {} or []
 
-    return "".join(chunks(value, ""))
+    return chunks(value, "")
 
 
-def _emit(text: str, out: str | None) -> None:
+# characters joined per write, so no output is held whole; 256 KiB gave the
+# lowest and steadiest peak RSS of the sizes measured (see CHANGES.md)
+EMIT_CHARS = 1 << 18
+
+
+def _write(pieces: Iterable[str], handle: TextIO) -> None:
+    """Write the pieces joined about EMIT_CHARS characters at a time, then
+    a newline unless the last piece ends in one."""
+    batch: list[str] = []
+    size = 0
+    piece = ""
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= EMIT_CHARS:
+            handle.write("".join(batch))
+            batch, size = [], 0
+    handle.write("".join(batch))
+    if not piece.endswith("\n"):
+        handle.write("\n")
+
+
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """``_write`` the pieces to ``out``, or to stdout when it is None."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write(pieces, sys.stdout)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            _write(pieces, handle)
     except OSError as exc:
         raise IoError(f"cannot write {out}: {exc}") from exc
 
@@ -352,8 +397,18 @@ def _cmd_components(args: argparse.Namespace) -> int:
         lines = [f"components: {decomposition.count}"]
         for index, part in enumerate(decomposition.parts, start=1):
             lines.append(f"  {index}: {' '.join(map(str, part))}")
-        _emit("\n".join(lines), args.out)
+        _emit(["\n".join(lines)], args.out)
     return EXIT_OK
+
+
+def _beta_lines(label: str, value: int, certificates: Sequence[EigenpairCertificate],
+                parts: Sequence[Sequence[int]], n: int) -> Iterator[str]:
+    yield f"{label} = {value}"
+    for number, (cert, part) in enumerate(zip(certificates, parts), start=1):
+        suffix = " (exact)" if cert.exact else ""
+        yield f"\ncertificate {number}: ("
+        yield from _Padded(part, cert.vector, n).joined("0", ", ")
+        yield f") residual {_decimal(cert.residual)}{suffix}"
 
 
 def _cmd_beta(args: argparse.Namespace) -> int:
@@ -372,13 +427,7 @@ def _cmd_beta(args: argparse.Namespace) -> int:
         }
         _emit(_json(document), args.out)
     else:
-        lines = [f"{label} = {value}"]
-        for number, (cert, part) in enumerate(zip(certificates, parts), start=1):
-            entries = ", ".join(_printed_vector(cert, part, g.n))
-            suffix = " (exact)" if cert.exact else ""
-            lines.append(f"certificate {number}: ({entries}) "
-                         f"residual {_decimal(cert.residual)}{suffix}")
-        _emit("\n".join(lines), args.out)
+        _emit(_beta_lines(label, value, certificates, parts, g.n), args.out)
     return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH
 
 
@@ -399,7 +448,7 @@ def _cmd_perron(args: argparse.Namespace) -> int:
             f"iterations: {result.iterations}",
             "vector: " + " ".join(repr(v) for v in result.vector),
         ]
-        _emit("\n".join(lines), args.out)
+        _emit(["\n".join(lines)], args.out)
     return EXIT_OK
 
 
@@ -422,7 +471,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit(_json(document), args.out)
     else:
         suffix = " (exact)" if certificate.exact else ""
-        _emit(f"{verdict} residual {_decimal(certificate.residual)}{suffix}",
+        _emit([f"{verdict} residual {_decimal(certificate.residual)}{suffix}"],
               args.out)
     return EXIT_OK if certificate.accepted else EXIT_MISMATCH
 
@@ -443,7 +492,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                        all(c.accepted for c in report.rho_certificates)))
     lines = [f"{'ok' if passed else 'MISMATCH'}: {name}" for name, passed in checks]
     lines.append(f"beta = {expected} = components")
-    _emit("\n".join(lines), args.out)
+    _emit(["\n".join(lines)], args.out)
     return EXIT_OK if all(passed for _, passed in checks) else EXIT_MISMATCH
 
 

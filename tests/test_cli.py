@@ -1,6 +1,7 @@
 """File formats, argument handling and exit codes of the command line."""
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -277,10 +278,9 @@ def test_beta_prints_rejected_certificates_then_exits_1(tmp_path, capsys):
     assert float(document["certificates"][0]["residual"]) > 0
 
 
-def run_in_one_gigabyte(*argv):
-    """``geoconn *argv`` in a subprocess limited to a 1 GB address space."""
-    limit = 1 << 30
-
+def run_in_address_space(*argv, limit=1 << 30):
+    """``geoconn *argv`` in a subprocess limited to a ``limit``-byte address
+    space, 1 GB by default."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -292,23 +292,34 @@ def run_in_one_gigabyte(*argv):
 def test_check_on_many_isolated_vertices_stays_small(tmp_path):
     # 20000 components: the analysis keeps one component-local vector per
     # certificate, so it needs O(n) memory, not O(r*n)
-    done = run_in_one_gigabyte("check", write(tmp_path, "g.hg", "2 20000 0\n"))
+    done = run_in_address_space("check", write(tmp_path, "g.hg", "2 20000 0\n"))
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[-1] == "beta = 20000 = components"
+
+
+def test_padded_output_is_written_in_256_megabytes(tmp_path):
+    # 5000 vectors of length 5000, 326 MB of output: rendered as runs of
+    # zeros and written in batches, the output needs O(n) memory, where
+    # the whole text used to end in a MemoryError under this limit
+    path = write(tmp_path, "g.hg", "2 5000 0\n")
+    for argv in (["report", path], ["beta", path, "--z", "--format", "json"]):
+        done = run_in_address_space(*argv, "--out", os.devnull, limit=256 << 20)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == done.stderr == ""
 
 
 def test_huge_header_is_refused_before_allocating(tmp_path):
     # n = 10^9 used to end in a MemoryError traceback under this limit
     path = write(tmp_path, "g.hg", "2 1000000000 0\n")
     for command in ("check", "components"):
-        done = run_in_one_gigabyte(command, path)
+        done = run_in_address_space(command, path)
         assert done.returncode == EXIT_INPUT, done.stderr
         assert done.stdout == ""
         assert f"g.hg:1: vertex count n must be at most {MAX_VERTICES}" in done.stderr
     # an edgeless header with k = 10^12 used to make verify compute 2 ** (k - 1)
     path = write(tmp_path, "k.hg", "1000000000000 3 0\n")
     vector = write(tmp_path, "v.vec", "2\n1\n1\n")
-    done = run_in_one_gigabyte("verify", path, "--vector", vector, "--lambda", "0")
+    done = run_in_address_space("verify", path, "--vector", vector, "--lambda", "0")
     assert done.returncode == EXIT_INPUT, done.stderr
     assert done.stdout == ""
     assert "k.hg:1: uniformity k must be at most n = 3" in done.stderr
@@ -486,6 +497,38 @@ def loose_chains(sizes, isolated):
         first += 2 * size + 1
     n = first - 1 + isolated
     return f"3 {n} {len(edges)}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges)
+
+
+def test_batches_do_not_change_the_bytes(tmp_path, capsys, monkeypatch):
+    # stdout and --out print the same bytes in batches of any size
+    chains = write(tmp_path, "chains.hg", loose_chains([1, 2, 3] * 10, isolated=7))
+    target = tmp_path / "out.txt"
+    for argv in (["report", chains], ["beta", chains], ["components", chains]):
+        assert run(argv) == EXIT_OK
+        whole = capsys.readouterr().out
+        for size in (1, 7, 4096):
+            monkeypatch.setattr("geoconn.cli.EMIT_CHARS", size)
+            assert run(argv) == EXIT_OK
+            assert capsys.readouterr().out == whole, (argv, size)
+            assert run([*argv, "--out", str(target)]) == EXIT_OK
+            assert target.read_bytes() == whole.encode(), (argv, size)
+        monkeypatch.undo()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    g = write(tmp_path, "g.hg", TWO_COMPONENTS)
+    targets = [tmp_path, tmp_path / "missing" / "x.json"]
+    if os.path.exists("/dev/full"):
+        # every write fails there, so the error comes mid-output
+        targets.append("/dev/full")
+        monkeypatch.setattr("geoconn.cli.EMIT_CHARS", 1)
+    for target in targets:
+        for argv in (["report", g], ["beta", g], ["check", g]):
+            assert run([*argv, "--out", str(target)]) == EXIT_INPUT, (argv, target)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"geoconn: error: cannot write {target}: ")
+            assert captured.err.count("\n") == 1
 
 
 def test_json_output_is_json_dumps_indent_2(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Property tests on small random inputs: the eigenpair checker against a
 brute-force contraction, the contraction kernel against the per-edge
 kernel bit for bit, the file format round trip, the rejection of
-perturbed component indicators, and the JSON renderer against
-``json.dumps(indent=2)``. Runs are derandomized and keep no example
+perturbed component indicators, and the JSON and text renderers against
+``json.dumps(indent=2)`` and ``", ".join`` of the expanded vectors. Runs are derandomized and keep no example
 database, so they are repeatable."""
 
 import json
@@ -25,7 +25,7 @@ from geoconn import (
     verify_h_eigenpair,
     verify_z_eigenpair,
 )
-from geoconn.cli import _json, parse_hypergraph
+from geoconn.cli import _decimal, _json, _Padded, parse_hypergraph
 
 from oracles import (
     adjacency_entries,
@@ -164,4 +164,38 @@ json_containers = st.deferred(lambda: st.one_of(
 @PROPERTY
 @given(st.one_of(json_scalars, json_containers))
 def test_json_renderer_matches_json_dumps_indent_2(document):
-    assert _json(document) == json.dumps(document, indent=2)
+    assert "".join(_json(document)) == json.dumps(document, indent=2)
+
+
+@st.composite
+def padded_vectors(draw):
+    """A _Padded vector of 1 <= n <= 40 entries and its expanded list: an
+    ascending part, sometimes all of 1..n, holding int, Fraction or float
+    entries, and "0" on every other vertex."""
+    n = draw(st.integers(1, 40))
+    kept = draw(st.one_of(st.just([True] * n),
+                          st.lists(st.booleans(), min_size=n, max_size=n)))
+    part = [v for v, keep in zip(range(1, n + 1), kept) if keep]
+    kind = draw(st.sampled_from(sorted(vectors_of)))
+    values = draw(st.lists(vectors_of[kind], min_size=len(part), max_size=len(part)))
+    expanded = ["0"] * n
+    for v, value in zip(part, values):
+        expanded[v - 1] = _decimal(value)
+    return _Padded(part, values, n), expanded
+
+
+@PROPERTY
+@given(st.lists(padded_vectors(), max_size=3))
+def test_padded_vectors_render_as_their_expanded_lists(vectors):
+    # the zero runs between the part's vertices print exactly the n-entry
+    # list: at the start, between neighbours, at the end, and not at all
+    document = {"certificates": [{"vector": padded, "exact": True}
+                                 for padded, _ in vectors]}
+    expanded = {"certificates": [{"vector": full, "exact": True}
+                                 for _, full in vectors]}
+    if vectors:
+        document["last"], expanded["last"] = vectors[-1]
+    assert "".join(_json(document)) == json.dumps(expanded, indent=2)
+    for padded, full in vectors:
+        assert "".join(_json(padded)) == json.dumps(full, indent=2)
+        assert "".join(padded.joined("0", ", ")) == ", ".join(full)
