@@ -236,25 +236,34 @@ class _Padded:
     """A vector of n decimals: the ``_decimal`` of ``vector[i]`` on vertex
     ``part[i]`` of the ascending ``part`` and "0" on every other vertex.
     It is kept as its part, so it renders in O(len(part)) steps as runs of
-    zeros between the part's vertices, plus copying the bytes."""
+    zeros between the part's vertices, plus copying the bytes. A decimal
+    holds no character that JSON escapes."""
 
     __slots__ = ("part", "entries", "n")
 
     def __init__(self, part: Sequence[int], vector: Sequence[Number], n: int):
         self.part, self.entries, self.n = part, [_decimal(v) for v in vector], n
 
-    def joined(self, zero: str, separator: str, quote=str) -> Iterator[str]:
-        """``separator.join`` of the n items, in pieces: ``zero`` off the
-        part, the entries printed by ``quote`` on it."""
+    def joined(self, separator: str, quote: str = "") -> Iterator[str]:
+        """``separator.join`` of the n items, each between two ``quote``s,
+        in pieces: "0" off the part and the entries on it. The entries on a
+        run of consecutive vertices are joined in one call."""
+        zero = quote + "0" + quote
         item = zero + separator
-        previous = 0
-        for v, entry in zip(self.part, map(quote, self.entries)):
-            yield item * (v - previous - 1) + entry
-            if v < self.n:
-                yield separator
-            previous = v
-        if previous < self.n:
-            yield item * (self.n - previous - 1) + zero
+        between = quote + separator + quote
+        part, n = self.part, self.n
+        previous = 0  # the last vertex printed
+        start = 0  # the index in part where the current run starts
+        for end in range(1, len(part) + 1):
+            if end == len(part) or part[end] != part[end - 1] + 1:
+                yield (item * (part[start] - previous - 1)
+                       + quote + between.join(self.entries[start:end]) + quote)
+                previous = part[end - 1]
+                if previous < n:
+                    yield separator
+                start = end
+        if previous < n:
+            yield item * (n - previous - 1) + zero
 
 
 def _certificate_document(certificate: EigenpairCertificate, part: Sequence[int],
@@ -317,7 +326,7 @@ def _json(value) -> Iterator[str]:
     each list of scalars to the C encoder in one call, with the newline and
     padding in the item separator.  A ``_Padded`` vector prints as the list
     of its n strings, its zeros as runs of the quoted ``"0"`` and that
-    separator.  A list is classified by its first item: every list the CLI
+    separator, its entries quoted as they are.  A list is classified by its first item: every list the CLI
     emits holds only containers or only scalars.  Dict keys are strings.
     """
     def chunks(value, pad: str) -> Iterator[str]:
@@ -331,7 +340,7 @@ def _json(value) -> Iterator[str]:
             yield f"\n{pad}}}"
         elif isinstance(value, _Padded):
             yield f"[\n{inner}"
-            yield from value.joined('"0"', ",\n" + inner, json.dumps)
+            yield from value.joined(",\n" + inner, '"')
             yield f"\n{pad}]"
         elif isinstance(value, (list, tuple)) and value:
             if isinstance(value[0], (dict, list, tuple)):
@@ -407,7 +416,7 @@ def _beta_lines(label: str, value: int, certificates: Sequence[EigenpairCertific
     for number, (cert, part) in enumerate(zip(certificates, parts), start=1):
         suffix = " (exact)" if cert.exact else ""
         yield f"\ncertificate {number}: ("
-        yield from _Padded(part, cert.vector, n).joined("0", ", ")
+        yield from _Padded(part, cert.vector, n).joined(", ")
         yield f") residual {_decimal(cert.residual)}{suffix}"
 
 

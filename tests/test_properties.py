@@ -198,4 +198,4 @@ def test_padded_vectors_render_as_their_expanded_lists(vectors):
     assert "".join(_json(document)) == json.dumps(expanded, indent=2)
     for padded, full in vectors:
         assert "".join(_json(padded)) == json.dumps(full, indent=2)
-        assert "".join(padded.joined("0", ", ")) == ", ".join(full)
+        assert "".join(padded.joined(", ")) == ", ".join(full)
