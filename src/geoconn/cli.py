@@ -326,8 +326,9 @@ def _json(value) -> Iterator[str]:
     each list of scalars to the C encoder in one call, with the newline and
     padding in the item separator.  A ``_Padded`` vector prints as the list
     of its n strings, its zeros as runs of the quoted ``"0"`` and that
-    separator, its entries quoted as they are.  A list is classified by its first item: every list the CLI
-    emits holds only containers or only scalars.  Dict keys are strings.
+    separator, its entries quoted as they are.  A list is classified by its
+    first item: every list the CLI emits holds only containers or only
+    scalars.  Dict keys are strings.
     """
     def chunks(value, pad: str) -> Iterator[str]:
         inner = pad + "  "

@@ -2,8 +2,8 @@
 brute-force contraction, the contraction kernel against the per-edge
 kernel bit for bit, the file format round trip, the rejection of
 perturbed component indicators, and the JSON and text renderers against
-``json.dumps(indent=2)`` and ``", ".join`` of the expanded vectors. Runs are derandomized and keep no example
-database, so they are repeatable."""
+``json.dumps(indent=2)`` and ``", ".join`` of the expanded vectors. Runs
+are derandomized and keep no example database, so they are repeatable."""
 
 import json
 from fractions import Fraction
