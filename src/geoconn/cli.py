@@ -4,9 +4,10 @@ Hypergraph files are plain text: a header line ``k n m`` followed by m edge
 lines of k 1-based vertex labels each, whitespace separated, every field
 ASCII [0-9]+, with 2 <= k <= n and n at most ``MAX_VERTICES`` (1,000,000).
 Blank lines and ``#`` comments (full line or trailing) are ignored.  The
-edge lines are read ``CHUNK_LINES`` at a time into one flat list of labels,
-which ``construct`` validates in bulk; only a refused file is read again
-line by line, to name the line of its first fault.  Vector
+edge lines are read ``CHUNK_LINES`` at a time into one flat list of labels;
+only a file with a wrong line count, field count or token is read again line
+by line, to name the line of that fault.  ``construct`` validates the edges
+once, and the line of the edge its error names is found by counting.  Vector
 files hold one number per line, as an integer, a rational ``p/q`` or a
 finite decimal; integer and rational entries keep the computation exact.
 Files must be UTF-8.
@@ -21,13 +22,15 @@ Python steps.  ``_emit`` writes every output, JSON or text, joined
 commands need O(n + k*m) memory.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
-2 malformed input, 3 iteration did not converge (``perron`` only).
+2 malformed input or a failed write (a closed stdout too), 3 iteration did
+not converge (``perron`` only).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import chain, islice
@@ -111,36 +114,16 @@ def _body_labels(lines: list[str], start: int, k: int, m: int,
     return labels if rows_seen == m else None
 
 
-def _raise_body_error(lines: list[str], header_line: int, n: int, k: int, m: int) -> None:
-    """Raise the ParseError of the first fault in the edge lines after the
-    header, found one line at a time; return when there is none."""
-    body = list(_content_lines(lines, header_line))
-    if len(body) != m:
-        raise ParseError(f"header promises {m} edges, file has {len(body)}",
-                         line=header_line)
-    edges = []
-    for line_number, line in body:
-        edge = _unsigned(line)
-        if edge is None:
-            raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
-                             line=line_number)
-        edges.append(edge)
-    try:
-        construct(n, k, edges)
-    except EdgeError as exc:
-        line_number = body[exc.edge_index][0] if exc.edge_index is not None else None
-        raise ParseError(str(exc), line=line_number) from exc
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the ``k n m`` + edge-lines format. Raises ParseError with the
     offending 1-based line number, or the underlying edge validation error
     wrapped with its line.
 
     The edge lines are tokenized in chunks of CHUNK_LINES into one flat
-    label list, and ``construct`` validates all edges in bulk. Only when
-    either refuses does a line-by-line re-scan run, to name the first
-    faulty line."""
+    label list. Only when the chunks cannot place a label in a k-tuple are
+    the lines read one at a time, to name a wrong line count or the first
+    bad token. ``construct`` then validates all edges once, and its
+    EdgeError is reported on the line of the edge it names."""
     lines = text.splitlines()
     header_line, header = next(_content_lines(lines), (None, ""))
     if header_line is None:
@@ -160,14 +143,27 @@ def parse_hypergraph(text: str) -> Hypergraph:
         # also bounds the exponent k - 1 of every contraction by MAX_VERTICES
         raise ParseError(f"uniformity k must be at most n = {n}, got {k}", line=header_line)
     labels = _body_labels(lines, header_line, k, m, "#" in text)
-    if labels is not None:
-        try:
-            return construct(n, k, zip(*[iter(labels)] * k))
-        except EdgeError:
-            pass
-    _raise_body_error(lines, header_line, n, k, m)
-    raise RuntimeError("internal error: the bulk parse refused a file "
-                       "in which the line-by-line re-scan finds no fault")
+    if labels is None:
+        body = list(_content_lines(lines, header_line))
+        if len(body) != m:
+            raise ParseError(f"header promises {m} edges, file has {len(body)}",
+                             line=header_line)
+        edges = [_unsigned(line) for _, line in body]
+        if None in edges:
+            line_number, line = body[edges.index(None)]
+            raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
+                             line=line_number)
+    else:
+        edges = zip(*[iter(labels)] * k)
+    try:
+        g = construct(n, k, edges)
+    except EdgeError as exc:
+        line_number, _ = next(islice(_content_lines(lines, header_line), exc.edge_index, None))
+        raise ParseError(str(exc), line=line_number) from exc
+    if labels is None:
+        raise RuntimeError("internal error: the bulk parse refused a file "
+                           "in which the line-by-line re-scan finds no fault")
+    return g
 
 
 def parse_scalar(token: str) -> Number:
@@ -312,8 +308,7 @@ def _report_document(g: Hypergraph, source: str, report: ConnectivityReport) -> 
         "regular_degree": report.regular_degree,
         "certificates": [_certificate_document(c, part, g.n)
                          for c, part in zip(report.certificates, parts)],
-        "perron": (_perron_block(g, report.certificates[0])
-                   if connected and g.n > 1 else None),
+        "perron": _perron_block(g, report.certificates[0]) if connected else None,
     }
 
 
@@ -622,7 +617,14 @@ def run(argv: Sequence[str] | None = None, *, stderr: TextIO | None = None) -> i
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed: devnull takes it, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -142,7 +142,8 @@ def _verify(view: HypergraphView, eigenvalue: Number, x: Sequence[Number],
     differs (see the two docstrings). A float OverflowError anywhere in the
     check gives a NaN residual, so the certificate is rejected."""
     xs = _checked_vector(view, eigenvalue, x)
-    exact = view.is_exact and is_exact_scalar(eigenvalue) and all(map(is_exact_scalar, xs))
+    # every view's diagonal is an integer, so exactness rests on lambda and x
+    exact = is_exact_scalar(eigenvalue) and all(map(is_exact_scalar, xs))
     power = view.order - 1 if variant == VARIANT_H else 1
     try:
         defect: Number = 0
@@ -168,9 +169,9 @@ def verify_h_eigenpair(view: HypergraphView, eigenvalue: Number, x: Sequence[Num
     """Check T x^{m-1} = lambda * x^{[m-1]}.
 
     residual = ||T x^{m-1} - lambda * x^{[m-1]}||_inf / max(1, ||x||_inf^{m-1}),
-    kept as an exact rational when the tensor, eigenvalue and vector are all
-    exact. Raises ValueError when the eigenvalue or an entry is not finite;
-    a float overflow inside the check gives a NaN residual, which rejects.
+    kept as an exact rational when the eigenvalue and vector are exact.
+    Raises ValueError when the eigenvalue or an entry is not finite; a
+    float overflow inside the check gives a NaN residual, which rejects.
     """
     return _verify(view, eigenvalue, x, tol, VARIANT_H)
 
@@ -286,8 +287,8 @@ def perron(view: HypergraphView, tol: float = PERRON_TOL,
 
     The returned vector is entrywise positive with maximum 1, and the pair
     passes verify_h_eigenpair at tolerance 10*tol. Raises NotIrreducible
-    when the hypergraph is not connected, NotNonnegative for a view with a
-    negative entry, and NoConvergence (with the last bracket) when max_iter
+    when the hypergraph is not connected, NotNonnegative for a Laplacian
+    view with an edge, and NoConvergence (with the last bracket) when max_iter
     is hit or the verification fails.
     """
     if not is_weakly_irreducible(view):

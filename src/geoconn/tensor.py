@@ -1,11 +1,14 @@
 """Tensor engine: the tensors of a k-uniform hypergraph as implicit views,
 their contraction, their support digraph and their weak irreducibility.
-``HypergraphView`` is the library's only tensor type.
+``HypergraphView`` is the library's only tensor type, and ``adjacency``,
+``laplacian`` and ``shifted_laplacian`` are its only constructors.
 
 The adjacency tensor of a k-uniform hypergraph has entry 1/(k-1)! on every
 permutation of each edge's vertex tuple, the Laplacian is D - A with D the
-diagonal degree tensor, and the shifted Laplacian is shift*I - L. None of
-these is ever materialized: the contraction
+diagonal degree tensor, and the shifted Laplacian is s*I - L with s the
+maximum degree. Every diagonal is an integer tuple of length n, and only
+the Laplacian has negative entries. None of these is ever materialized: the
+contraction
 
     (T x^{k-1})_i = sum_{i_2..i_k} t_{i i_2...i_k} x_{i_2} ... x_{i_k}
 
@@ -19,7 +22,7 @@ number domain, so integer or Fraction vectors produce exact results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence, Union
@@ -37,23 +40,13 @@ def is_exact_scalar(value) -> bool:
 
 @dataclass(frozen=True)
 class HypergraphView:
-    """Implicit tensor diag(c)*I + sign*A_H backed by a hypergraph H.
-
-    The three hypergraph-derived kinds are all of this shape:
-    adjacency (c = 0, sign = +1), Laplacian (c = degrees, sign = -1) and
-    shifted Laplacian (c = shift - degrees, sign = +1).
-    """
+    """Implicit tensor diag(c)*I + sign*A_H backed by a hypergraph H:
+    adjacency (c = 0, sign = +1), Laplacian (c = degrees, sign = -1) or
+    shifted Laplacian (c = max degree - degrees, sign = +1)."""
 
     graph: Hypergraph
-    diagonal: tuple[Number, ...]
+    diagonal: tuple[int, ...]
     sign: int
-    kind: str = field(compare=False)
-
-    def __post_init__(self):
-        if len(self.diagonal) != self.graph.n:
-            raise DimensionError("diagonal length must equal the vertex count")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
 
     @property
     def order(self) -> int:
@@ -63,31 +56,24 @@ class HypergraphView:
     def dim(self) -> int:
         return self.graph.n
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(d) for d in self.diagonal)
-
 
 def adjacency(g: Hypergraph) -> HypergraphView:
     """Adjacency tensor view A_G."""
-    return HypergraphView(g, (0,) * g.n, 1, "adjacency")
+    return HypergraphView(g, (0,) * g.n, 1)
 
 
 def laplacian(g: Hypergraph) -> HypergraphView:
     """Laplacian tensor view L_G = D_G - A_G."""
-    return HypergraphView(g, degrees(g), -1, "laplacian")
+    return HypergraphView(g, degrees(g), -1)
 
 
-def shifted_laplacian(g: Hypergraph, shift: int | None = None) -> HypergraphView:
-    """Shifted Laplacian view shift*I - L_G; defaults shift to the maximum degree.
-
-    With the default shift the view is entrywise nonnegative, which is what
-    the Perron iteration needs.
-    """
+def shifted_laplacian(g: Hypergraph) -> HypergraphView:
+    """Shifted Laplacian view s*I - L_G with s the maximum degree, the least
+    shift that makes the view entrywise nonnegative, as the Perron
+    iteration needs."""
     degs = degrees(g)
-    if shift is None:
-        shift = max(degs)
-    return HypergraphView(g, tuple(shift - d for d in degs), 1, "shifted_laplacian")
+    shift = max(degs)
+    return HypergraphView(g, tuple(shift - d for d in degs), 1)
 
 
 def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
@@ -135,12 +121,10 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
 
 
 def _require_nonnegative(view: HypergraphView) -> None:
-    """Raise NotNonnegative unless every entry of the view is >= 0."""
+    """Raise NotNonnegative unless every entry of the view is >= 0: only a
+    Laplacian with an edge has negative entries."""
     if view.sign < 0 and view.graph.m > 0:
-        raise NotNonnegative(f"{view.kind} view has negative off-diagonal entries")
-    for i, c in enumerate(view.diagonal, start=1):
-        if c < 0:
-            raise NotNonnegative(f"diagonal entry at vertex {i} is negative: {c}")
+        raise NotNonnegative("laplacian view has negative off-diagonal entries")
 
 
 def support_digraph(view: HypergraphView) -> dict[int, tuple[int, ...]]:
@@ -169,8 +153,8 @@ def is_weakly_irreducible(view: HypergraphView) -> bool:
     The support links every two members of an edge both ways, so this is
     connectivity of the hypergraph (Pearson and Zhang, Graphs Combin. 30,
     2014), decided by one incidence breadth-first search in O(k*m + n) and
-    checked by ``check_components``. A Laplacian view with an edge, or a
-    negative diagonal entry, raises NotNonnegative.
+    checked by ``check_components``. A Laplacian view with an edge raises
+    NotNonnegative.
     """
     _require_nonnegative(view)
     return check_components(view.graph, connected_components(view.graph)).count == 1

@@ -9,7 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from geoconn import NotNonnegative, ParseError, laplacian, perron
+from geoconn import (
+    LabelOutOfRange,
+    MalformedEdge,
+    NotNonnegative,
+    ParseError,
+    WrongUniformity,
+    construct,
+    laplacian,
+    perron,
+)
 from geoconn.cli import (
     CHUNK_LINES,
     EXIT_INPUT,
@@ -130,6 +139,46 @@ def long_path_file(fault_at_edge_6900: str) -> str:
             lines.append(f"# edges {j}..{j + 3}")
         lines.append(fault_at_edge_6900 if j == 6900 else f"{2 * j + 1} {2 * j + 2} {2 * j + 3}")
     return "\r\n".join(lines) + "\r\n"
+
+
+def test_parse_hypergraph_reports_the_first_fault_of_several():
+    # the line count first, then the first bad token, then the earliest
+    # faulty edge; within one edge a repeated vertex comes first
+    with pytest.raises(ParseError, match="header promises 2 edges, file has 1") as err:
+        parse_hypergraph("3 5 2\n1 2 x\n")
+    assert err.value.line == 1
+    with pytest.raises(ParseError, match="unsigned integer labels, got '9 x 10'") as err:
+        parse_hypergraph("3 10 4\n1 2 3\n4 5 11\n6 7 8\n9 x 10\n")
+    assert err.value.line == 5
+    for text, error, line, message in (
+            ("3 10 2\n1 2 11\n4 5\n", LabelOutOfRange, 2,
+             "edge 0: vertex label 11 outside 1..10"),
+            ("3 10 2\n4 5\n1 2 11\n", WrongUniformity, 2,
+             "edge 0 has 2 vertices, expected k=3"),
+            ("3 10 2\n1 2 3\n1 1\n", MalformedEdge, 3,
+             "edge 1 has a repeated vertex: [1, 1]")):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert type(err.value.__cause__) is error
+        assert (err.value.line, str(err.value)) == (line, message)
+
+
+def test_parse_hypergraph_validates_edges_once(monkeypatch):
+    # a refused file is not validated a second time to find its line
+    calls = []
+
+    def counted(n, k, edges):
+        calls.append(n)
+        return construct(n, k, edges)
+
+    monkeypatch.setattr("geoconn.cli.construct", counted)
+    for text in ("3 5 2\n1 2 3\n3 4 6\n", "3 5 2\n1 2 3\n3 4\n", "3 5 2\n1 2 3\n3 4 5\n"):
+        calls.clear()
+        try:
+            parse_hypergraph(text)
+        except ParseError:
+            pass
+        assert calls == [5], text
 
 
 def test_parse_scalar_forms():
@@ -308,6 +357,18 @@ def test_padded_output_is_written_in_256_megabytes(tmp_path):
         assert done.stdout == done.stderr == ""
 
 
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # a reader that stops early, like `geoconn report g.hg | head`, used to
+    # get a BrokenPipeError traceback and exit 1
+    path = write(tmp_path, "g.hg", "2 2000 0\n")
+    child = subprocess.Popen([sys.executable, "-m", "geoconn.cli", "report", path],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=120)
+    assert (child.returncode, stderr) == (EXIT_INPUT, b"")
+
+
 def test_huge_header_is_refused_before_allocating(tmp_path):
     # n = 10^9 used to end in a MemoryError traceback under this limit
     path = write(tmp_path, "g.hg", "2 1000000000 0\n")
@@ -424,7 +485,7 @@ def test_report_rejected_perron_pair_exits_1(tmp_path, capsys, monkeypatch):
     # the Perron pair is restated from the Laplacian certificate
     def perturbed(view, x):
         out = apply(view, x)
-        if view.kind == "laplacian":
+        if view.sign < 0:  # the Laplacian
             out[0] += 1
         return out
 
@@ -450,7 +511,7 @@ def test_analysis_contracts_the_laplacian_once(tmp_path, capsys, monkeypatch):
     degree_passes = []
 
     def counted(view, x):
-        views.append(view.kind)
+        views.append("laplacian" if view.sign < 0 else "nonnegative")
         return apply(view, x)
 
     def counted_degrees(g):

@@ -54,11 +54,11 @@ def hypergraphs(draw):
 
 
 def views_and_entries(g):
-    """The three tensor views of g, each with its materialized entries."""
+    """The three tensor views of g by name, each with its materialized entries."""
     shift = max(degrees(g))
-    return [(adjacency(g), adjacency_entries(g)),
-            (laplacian(g), laplacian_entries(g)),
-            (shifted_laplacian(g), shifted_laplacian_entries(g, shift))]
+    return [("adjacency", adjacency(g), adjacency_entries(g)),
+            ("laplacian", laplacian(g), laplacian_entries(g)),
+            ("shifted_laplacian", shifted_laplacian(g), shifted_laplacian_entries(g, shift))]
 
 
 @PROPERTY
@@ -69,7 +69,7 @@ def test_checker_residual_matches_a_dense_contraction(data):
     assume(any(x))
     eigenvalue = data.draw(exact_scalars)
     power = g.k - 1
-    for view, entries in views_and_entries(g):
+    for name, view, entries in views_and_entries(g):
         y = dense_apply(entries, g.n, x)
         h_defect = max(abs(yi - eigenvalue * xi ** power) for yi, xi in zip(y, x))
         h_scale = max(1, max(abs(xi) for xi in x) ** power)
@@ -78,8 +78,8 @@ def test_checker_residual_matches_a_dense_contraction(data):
         h = verify_h_eigenpair(view, eigenvalue, x)
         z = verify_z_eigenpair(view, eigenvalue, x)
         assert h.exact and z.exact
-        assert h.residual == Fraction(h_defect) / h_scale, view.kind
-        assert z.residual == max(z_defect, z_norm), view.kind
+        assert h.residual == Fraction(h_defect) / h_scale, name
+        assert z.residual == max(z_defect, z_norm), name
 
 
 finite_floats = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6),
@@ -98,12 +98,13 @@ def test_apply_matches_the_edge_by_edge_kernel_bit_for_bit(data):
     g = data.draw(hypergraphs())
     kind = data.draw(st.sampled_from(sorted(vectors_of)))
     x = data.draw(st.lists(vectors_of[kind], min_size=g.n, max_size=g.n))
-    for view in (adjacency(g), laplacian(g), shifted_laplacian(g)):
+    for factory in (adjacency, laplacian, shifted_laplacian):
+        view = factory(g)
         got, want = apply(view, x), edge_by_edge_apply(view, x)
         # repr tells floats apart by every bit, -0.0 from 0.0 too, and
         # names Fractions; nan (from inf - inf) reprs as itself
-        assert list(map(type, got)) == list(map(type, want)), (view.kind, kind)
-        assert list(map(repr, got)) == list(map(repr, want)), (view.kind, kind)
+        assert list(map(type, got)) == list(map(type, want)), (factory.__name__, kind)
+        assert list(map(repr, got)) == list(map(repr, want)), (factory.__name__, kind)
 
 
 noise = st.lists(st.sampled_from(["", "   ", "# comment", "\t# 1 2 3"]), max_size=2)

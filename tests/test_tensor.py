@@ -1,6 +1,7 @@
 """Tensor views, the contraction kernel and weak irreducibility."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from geoconn import (
     shifted_laplacian,
     support_digraph,
 )
+from geoconn.tensor import HypergraphView
 
 from generators import connected_hypergraph, random_hypergraph
 from oracles import (
@@ -116,7 +118,22 @@ def test_shifted_laplacian_default_shift_is_max_degree():
     ones = [1, 1, 1, 1]
     # (shift*I - L) 1 = shift - d + d on every vertex
     assert apply(shifted_laplacian(g), ones) == [2, 2, 2, 2]
-    assert apply(shifted_laplacian(g, 5), ones) == [5, 5, 5, 5]
+
+
+def test_factories_give_integer_nonnegative_diagonals():
+    # the invariants that let the views keep no checks of their own: every
+    # diagonal has n integer entries >= 0, and only the Laplacian is signed -1
+    assert [f.name for f in fields(HypergraphView)] == ["graph", "diagonal", "sign"]
+    rng = random.Random(1111)
+    graphs = [random_hypergraph(rng) for _ in range(150)]
+    graphs += [construct(n, 2, []) for n in (2, 5)]
+    assert any(g.m == 0 for g in graphs) and any(g.m > 0 for g in graphs)
+    for g in graphs:
+        for factory in (adjacency, laplacian, shifted_laplacian):
+            view = factory(g)
+            assert type(view.diagonal) is tuple and len(view.diagonal) == g.n
+            assert all(type(c) is int and c >= 0 for c in view.diagonal), factory.__name__
+            assert view.sign == (-1 if factory is laplacian else 1)
 
 
 def test_support_digraph_of_adjacency():
@@ -149,8 +166,6 @@ def test_support_digraph_rejects_negative_tensors():
     for check in (support_digraph, is_weakly_irreducible):
         with pytest.raises(NotNonnegative, match="negative off-diagonal entries"):
             check(laplacian(g))
-        with pytest.raises(NotNonnegative, match="diagonal entry at vertex 1 is negative"):
-            check(shifted_laplacian(g, max(degrees(g)) - 1))
     # laplacian of an edgeless hypergraph is the zero tensor: fine
     edgeless = construct(2, 2, [])
     assert support_digraph(laplacian(edgeless)) == {1: (), 2: ()}
