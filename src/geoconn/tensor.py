@@ -6,9 +6,9 @@ their contraction, their support digraph and their weak irreducibility.
 The adjacency tensor of a k-uniform hypergraph has entry 1/(k-1)! on every
 permutation of each edge's vertex tuple, the Laplacian is D - A with D the
 diagonal degree tensor, and the shifted Laplacian is s*I - L with s the
-maximum degree. Every diagonal is an integer tuple of length n, and only
-the Laplacian has negative entries. None of these is ever materialized: the
-contraction
+maximum degree. Every diagonal is an integer tuple of length n, and only a
+Laplacian with an edge has negative entries. None of these is ever
+materialized: the contraction
 
     (T x^{k-1})_i = sum_{i_2..i_k} t_{i i_2...i_k} x_{i_2} ... x_{i_k}
 

@@ -361,11 +361,11 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     # a reader that stops early, like `geoconn report g.hg | head`, used to
     # get a BrokenPipeError traceback and exit 1
     path = write(tmp_path, "g.hg", "2 2000 0\n")
-    child = subprocess.Popen([sys.executable, "-m", "geoconn.cli", "report", path],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert len(child.stdout.read(100)) == 100
-    child.stdout.close()
-    _, stderr = child.communicate(timeout=120)
+    with subprocess.Popen([sys.executable, "-m", "geoconn.cli", "report", path],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=120)
     assert (child.returncode, stderr) == (EXIT_INPUT, b"")
 
 
