@@ -22,8 +22,8 @@ Python steps.  ``_emit`` writes every output, JSON or text, joined
 commands need O(n + k*m) memory.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
-2 malformed input or a failed write (a closed stdout too), 3 iteration did
-not converge (``perron`` only).
+2 malformed input, a failed write (a closed stdout too) or no memory left,
+3 iteration did not converge (``perron`` only).
 """
 
 from __future__ import annotations
@@ -613,6 +613,9 @@ def run(argv: Sequence[str] | None = None, *, stderr: TextIO | None = None) -> i
         return EXIT_NO_CONVERGENCE
     except GeoconnError as exc:
         print(f"geoconn: error: {exc}", file=stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("geoconn: error: out of memory", file=stderr)
         return EXIT_INPUT
 
 

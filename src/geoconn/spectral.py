@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
 from math import isfinite, isqrt, nan, sqrt
 from typing import Sequence
 
@@ -81,7 +82,8 @@ class PerronResult:
     than ``tolerance``, and ``vector`` the positive iterate it was taken at,
     scaled to maximum 1; the pair passed verify_h_eigenpair at 10 times
     ``tolerance``. ``iterations`` counts the brackets evaluated, one tensor
-    application each: 1 when the all-ones start is already the fixed point.
+    application each, whether the steps between them were Newton-Noda or
+    Anderson steps: 1 when the all-ones start is already the fixed point.
     """
 
     rho: float
@@ -265,10 +267,87 @@ class _Anderson:
         self.dfs.append([a - b for a, b in zip(fx, last_f)])
 
 
+def _hypertree_blocks(g: Hypergraph) -> tuple[int, list, list[list[int]]]:
+    """The elimination structure of a connected Berge-acyclic hypergraph,
+    in 0-based indices: the start of its incidence search, the edges in the
+    order the search discovers them as (head, children), and the edges'
+    members as k columns, heads first. The k-1 children of an edge are the
+    vertices it reached, and its head is its one member reached before it."""
+    search = connected_components(g)
+    blocks = []
+    for j, reached in groupby(search.order[1:], key=lambda v: search.reached_by[v - 1]):
+        children = tuple(v - 1 for v in reached)
+        (head,) = {v - 1 for v in g.edges[j]}.difference(children)
+        blocks.append((head, children))
+    columns = [list(column) for column in zip(*((h, *kids) for h, kids in blocks))]
+    return search.order[0] - 1, blocks, columns
+
+
+def _newton_noda_step(tree: tuple[int, list, list[list[int]]], diagonal: Sequence[int],
+                      x: list[float], xp: list[float], lam: float,
+                      power: int) -> list[float] | None:
+    """The Newton-Noda iterate after x > 0 on a hypertree, or None when the
+    solve breaks down. ``tree`` is ``_hypertree_blocks`` of the hypergraph,
+    ``xp`` is x^{[k-1]} and ``lam`` the upper Collatz-Wielandt bound of
+    T + I at x.
+
+    Solves (lam*diag(x^{[k-2]}) - M) w = x^{[k-1]}, M = (T + I) x^{k-2},
+    whose diagonal is (c_i + 1)*x_i^{k-2} and whose entry for two members
+    i != j of an edge e is alpha/(x_i*x_j), alpha = prod_{l in e} x_l/(k-1).
+    Scaled by diag(x) on both sides, each edge's block is a diagonal minus
+    alpha times the all-ones matrix, so eliminating each edge's children in
+    reverse discovery order makes no fill, and Sherman-Morrison gives each
+    Schur complement update in O(k). While the bracket is open the system
+    is a nonsingular M-matrix, so w > 0. The next iterate is
+    ((k-2)*x + s*w)/(k-1) with s = sum(x)/sum(w), which keeps the sum of x.
+    """
+    root, blocks, columns = tree
+    alpha = [1.0 / power] * len(blocks)
+    for column in columns:
+        alpha = [a * x[v] for a, v in zip(alpha, column)]
+    # the scaled system: diagonal d_i*x_i^2, right side b_i*x_i, unknowns w_i/x_i
+    rhs = [v * xi for v, xi in zip(xp, x)]
+    diag = [(lam - c - 1.0) * v for c, v in zip(diagonal, rhs)]
+    pivots = x[:]
+    factors = []
+    try:
+        for (head, children), a in zip(reversed(blocks), reversed(alpha)):
+            s = t = 0.0
+            for c in children:
+                pivot = pivots[c] = diag[c] + a
+                s += 1.0 / pivot
+                t += rhs[c] / pivot
+            pi = 1.0 - a * s
+            if not pi > 0.0:
+                return None
+            diag[head] -= a * a * s / pi
+            rhs[head] += a * t / pi
+            factors.append((s, t, pi))
+        if not diag[root] > 0.0:
+            return None
+        w = pivots  # w_i / x_i, each entry written after its pivot is read
+        w[root] = rhs[root] / diag[root]
+        for (head, children), a, (s, t, pi) in zip(blocks, alpha, reversed(factors)):
+            beta = a * w[head]
+            shift = beta + a * (t + beta * s) / pi
+            for c in children:
+                wc = w[c] = (rhs[c] + shift) / pivots[c]
+                if not wc > 0.0:
+                    return None
+        w = [wi * xi for wi, xi in zip(w, x)]
+        scale = sum(x) / sum(w)
+    except ZeroDivisionError:
+        return None
+    if not scale > 0.0:
+        return None
+    return [((power - 1) * xi + scale * wi) / power for xi, wi in zip(x, w)]
+
+
 def perron(view: HypergraphView, tol: float = PERRON_TOL,
            max_iter: int = MAX_ITER) -> PerronResult:
     """Spectral radius and positive eigenvector of a nonnegative weakly
-    irreducible tensor by an Anderson-accelerated shifted power iteration.
+    irreducible tensor by a shifted power iteration, accelerated by
+    Newton-Noda steps on a hypertree and by Anderson mixing otherwise.
 
     Iterates on T + I (unit diagonal shift; weak irreducibility alone does
     not make the plain iteration convergent, while the shift does and only
@@ -277,13 +356,21 @@ def perron(view: HypergraphView, tol: float = PERRON_TOL,
     Collatz-Wielandt ratios z_i / x_i^{m-1} bracket the spectral radius of
     T + I (Chang, Pearson and Zhang, Commun. Math. Sci. 6, 2008), and the
     iteration stops once max - min < tol, returning the bracket midpoint
-    minus the shift with x sup-normalized. Otherwise the plain step is
-    F(x), the entrywise (m-1)-th root of z normalized to mean 1, and the
-    next iterate mixes it with the last _DEPTH steps by least squares
-    (``_Anderson``), falling back to F(x) when the mix has an entry <= 0.
-    The bracket is taken at the iterate itself, so the mixing moves only
-    the path to convergence, never the stop rule. A fixed point such as the
+    minus the shift with x sup-normalized. A fixed point such as the
     all-ones vector of a regular adjacency tensor returns at iteration 1.
+
+    Otherwise, when the hypergraph is a hypertree (Berge-acyclic, which for
+    a connected one means m*(k-1) = n-1), the next iterate is a
+    Newton-Noda step at the upper bracket end (``_newton_noda_step``; Liu,
+    Guo and Lin, Numer. Math. 137, 2017, after Noda, Numer. Math. 17,
+    1971), whose step count does not grow with the path length. On any
+    other input, and for the rest of the run once the step's solve breaks
+    down (as at the float fixed point), the plain step is F(x), the
+    entrywise (m-1)-th root of z normalized to mean 1, and the next iterate
+    mixes it with the last _DEPTH steps by least squares (``_Anderson``),
+    falling back to F(x) when the mix has an entry <= 0. The bracket is
+    taken at the iterate itself, so either step moves only the path to
+    convergence, never the stop rule.
 
     The returned vector is entrywise positive with maximum 1, and the pair
     passes verify_h_eigenpair at tolerance 10*tol. Raises NotIrreducible
@@ -298,10 +385,14 @@ def perron(view: HypergraphView, tol: float = PERRON_TOL,
     x = [1.0] * view.dim
     lower = upper = 0.0
     history = _Anderson()
+    # a connected hypergraph is Berge-acyclic exactly when m*(k-1) = n-1
+    hypertree = view.graph.m * power == view.dim - 1
+    tree = None
     for iteration in range(1, max_iter + 1):
         y = apply(view, x)
-        z = [float(yi) + xi ** power for yi, xi in zip(y, x)]
-        ratios = [zi / xi ** power for zi, xi in zip(z, x)]
+        xp = [xi ** power for xi in x]
+        z = [float(yi) + v for yi, v in zip(y, xp)]
+        ratios = [zi / v for zi, v in zip(z, xp)]
         upper = max(ratios)
         lower = min(ratios)
         if upper - lower < tol:
@@ -314,6 +405,14 @@ def perron(view: HypergraphView, tol: float = PERRON_TOL,
                     f"converged ratios failed verification (residual {certificate.residual})",
                     lower - 1.0, upper - 1.0, iteration)
             return PerronResult(rho, vector, iteration, tol)
+        if hypertree:
+            if tree is None:
+                tree = _hypertree_blocks(view.graph)
+            step = _newton_noda_step(tree, view.diagonal, x, xp, upper, power)
+            if step is not None:
+                x = step
+                continue
+            hypertree = False
         scaled = [zi ** root for zi in z]
         mean = sum(scaled) / view.dim
         fx = [si / mean for si in scaled]

@@ -77,3 +77,30 @@ def loose_path(length: int, k: int = 3) -> Hypergraph:
     return construct((k - 1) * length + 1, k,
                      [tuple(range((k - 1) * i + 1, (k - 1) * i + k + 1))
                       for i in range(length)])
+
+
+def hypertree(rng: random.Random, k: int, m: int, shape: str = "random") -> Hypergraph:
+    """Connected Berge-acyclic k-uniform hypergraph with m edges, so that
+    m*(k-1) = n-1, on a shuffled labelling. Each edge after the first holds
+    k-1 new vertices and one placed vertex: a random one ("random"), the
+    first one ("star"), or, for a "caterpillar", the newest vertex of the
+    spine on even edges and a random spine vertex on odd ones."""
+    n = m * (k - 1) + 1
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    edges = [labels[:k]]
+    spine = [labels[k - 1]]
+    placed = k
+    for j in range(1, m):
+        if shape == "star":
+            anchor = labels[0]
+        elif shape == "caterpillar":
+            anchor = spine[-1] if j % 2 == 0 else rng.choice(spine)
+        else:
+            anchor = labels[rng.randrange(placed)]
+        fresh = labels[placed:placed + k - 1]
+        placed += k - 1
+        if j % 2 == 0:
+            spine.append(fresh[-1])
+        edges.append([anchor, *fresh])
+    return construct(n, k, sorted(tuple(sorted(edge)) for edge in edges))

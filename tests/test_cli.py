@@ -386,6 +386,19 @@ def test_huge_header_is_refused_before_allocating(tmp_path):
     assert "k.hg:1: uniformity k must be at most n = 3" in done.stderr
 
 
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    # a legal file of 100,000 edges needs about 90 MB to check; out of
+    # memory used to end in a MemoryError traceback with exit 1, the code
+    # of a rejected certificate
+    lines = ["3 300000 100000"]
+    lines += [f"{3 * j + 1} {3 * j + 2} {3 * j + 3}" for j in range(100000)]
+    path = write(tmp_path, "g.hg", "\n".join(lines) + "\n")
+    done = run_in_address_space("check", path, limit=48 << 20)
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "geoconn: error: out of memory\n"
+
+
 def test_non_utf8_hypergraph_file_exits_2(tmp_path, capsys):
     # used to end in a UnicodeDecodeError traceback with exit 1
     bad_graph = tmp_path / "bad.hg"

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import geoconn.spectral as spectral
 from geoconn import (
     DimensionError,
     NoConvergence,
@@ -33,6 +34,7 @@ from geoconn.cli import EXIT_MISMATCH, run
 
 from generators import (
     connected_hypergraph,
+    hypertree,
     loose_path,
     random_hypergraph,
     regular_connected_hypergraph,
@@ -43,11 +45,16 @@ from oracles import (
     loose_path_spectral_radius,
     power_iteration,
     rational_nullity,
+    shifted_laplacian_entries,
     spanning_forest_holds,
     union_find_components,
 )
 
 SINGLE_EDGE_4 = construct(4, 4, [(1, 2, 3, 4)])
+# a loose 3-uniform 5-cycle with a pendant edge: connected, not a hypertree,
+# since m*(k-1) = 12 and n-1 = 11
+CYCLE_AND_PENDANT = construct(12, 3, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9),
+                                      (1, 9, 10), (2, 11, 12)])
 SIGNED = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
 
@@ -210,7 +217,7 @@ def test_perron_requires_weak_irreducibility():
         perron(adjacency(g))
 
 
-def test_perron_reports_bracket_on_iteration_cap():
+def test_perron_reports_bracket_on_iteration_cap(monkeypatch):
     p3 = construct(3, 2, [(1, 2), (2, 3)])
     with pytest.raises(NoConvergence) as err:
         perron(adjacency(p3), max_iter=1)
@@ -223,6 +230,24 @@ def test_perron_reports_bracket_on_iteration_cap():
     assert err.value.iterations == 2000
     assert err.value.upper - err.value.lower <= 1e-12
     assert err.value.lower - 1e-12 <= loose_path_spectral_radius(5, 4) <= err.value.upper + 1e-12
+    # the loose path is a hypertree, whose Newton-Noda solve does not break
+    # down there, so Anderson mixing and its zero Gram matrix are reached
+    # on a hypergraph with a cycle
+    zero_grams = []
+
+    def ridge_spy(gram, rhs):
+        zero_grams.append(max(gram[i][i] for i in range(len(rhs))) == 0.0)
+        return ridge_solve(gram, rhs)
+
+    ridge_solve = spectral._ridge_solve
+    monkeypatch.setattr(spectral, "_ridge_solve", ridge_spy)
+    with pytest.raises(NoConvergence) as err:
+        perron(adjacency(CYCLE_AND_PENDANT), tol=0.0, max_iter=2000)
+    assert err.value.iterations == 2000
+    assert err.value.upper - err.value.lower <= 1e-12
+    rho = power_iteration(adjacency_entries(CYCLE_AND_PENDANT), 3, 12)
+    assert err.value.lower - 1e-12 <= rho <= err.value.upper + 1e-12
+    assert any(zero_grams)
 
 
 @pytest.mark.parametrize("length, k",
@@ -235,6 +260,96 @@ def test_perron_loose_path_closed_form(length, k):
     assert abs(result.rho - loose_path_spectral_radius(length, k)) <= 1e-9
     assert all(v > 0 for v in result.vector)
     assert max(result.vector) == 1.0
+
+
+@pytest.mark.parametrize("length", [5, 20, 80, 160, 960])
+def test_perron_newton_noda_on_loose_paths(length):
+    # a loose path is a hypertree: Newton-Noda steps, whose count does not
+    # grow with the length, where Anderson mixing needed about 2.2 per edge
+    result = perron(adjacency(loose_path(length)))
+    assert abs(result.rho - loose_path_spectral_radius(length)) <= 1e-9
+    assert result.iterations <= 20
+
+
+def test_perron_converges_on_a_7000_edge_loose_path():
+    # Anderson mixing spent all 10000 steps here and raised NoConvergence
+    # even at a cap of 50
+    result = perron(adjacency(loose_path(7000)), tol=1e-9, max_iter=50)
+    assert abs(result.rho - loose_path_spectral_radius(7000)) <= 1e-9
+    assert all(v > 0 for v in result.vector) and max(result.vector) == 1.0
+
+
+def test_perron_on_random_hypertrees_matches_the_oracles():
+    rng = random.Random(1606)
+    for k in (2, 3, 4, 5):
+        for shape in ("random", "star", "caterpillar"):
+            for m in (rng.randint(2, 12 // k), rng.randint(40, 120)):
+                g = hypertree(rng, k, m, shape)
+                shift = max(degrees(g))
+                for view, entries in (
+                        (adjacency(g), lambda: adjacency_entries(g)),
+                        (shifted_laplacian(g), lambda: shifted_laplacian_entries(g, shift))):
+                    result = perron(view)
+                    assert verify_h_eigenpair(view, result.rho, result.vector,
+                                              10 * PERRON_TOL).accepted
+                    assert all(v > 0 for v in result.vector)
+                    assert max(result.vector) == 1.0
+                    if g.n <= 12:
+                        rho = power_iteration(entries(), k, g.n)
+                        assert abs(result.rho - rho) <= 1e-8
+    path = loose_path(399, 2)
+    result = perron(adjacency(path))
+    assert abs(result.rho - loose_path_spectral_radius(399, 2)) <= 1e-9
+    assert result.iterations <= 20
+
+
+def spy(monkeypatch, name, replacement=None):
+    """Record the arguments of every call of ``geoconn.spectral.<name>``,
+    which then runs ``replacement`` (default: itself)."""
+    calls = []
+    target = replacement or getattr(spectral, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(spectral, name, recorded)
+    return calls
+
+
+def test_newton_noda_step_runs_on_open_brackets_of_hypertrees_only(monkeypatch):
+    steps = spy(monkeypatch, "_newton_noda_step")
+    builds = spy(monkeypatch, "_hypertree_blocks")
+    rng = random.Random(1607)
+    graphs = [CYCLE_AND_PENDANT]
+    while len(graphs) < 30:
+        g = connected_hypergraph(rng, k_choices=(2, 3, 4, 5), max_n=14)
+        if g.m * (g.k - 1) != g.n - 1:
+            graphs.append(g)
+    for g in graphs:
+        perron(adjacency(g))
+    # fixed points: a regular adjacency tensor, a shifted Laplacian
+    for _ in range(10):
+        regular, _ = regular_connected_hypergraph(rng)
+        assert perron(adjacency(regular)).iterations == 1
+        tree = hypertree(rng, rng.choice((2, 3, 4)), rng.randint(1, 30))
+        assert perron(shifted_laplacian(tree)).iterations == 1
+    assert steps == builds == []
+    result = perron(adjacency(loose_path(20)))
+    assert len(steps) == result.iterations - 1 and len(builds) == 1
+
+
+def test_newton_noda_breakdown_falls_back_to_anderson(monkeypatch):
+    step = spectral._newton_noda_step
+
+    def fail_first(*args):
+        return None if len(steps) == 1 else step(*args)
+
+    steps = spy(monkeypatch, "_newton_noda_step", fail_first)
+    mixes = spy(monkeypatch, "_ridge_solve")
+    result = perron(adjacency(loose_path(20)), tol=1e-9)
+    assert len(steps) == 1 and mixes
+    assert abs(result.rho - loose_path_spectral_radius(20)) <= 1e-9
 
 
 def test_perron_matches_plain_power_iteration_oracle():
