@@ -56,7 +56,8 @@ class NotRegular(GeoconnError):
 
 
 class NoConvergence(GeoconnError):
-    """Power iteration hit the iteration cap; carries the last eigenvalue bounds."""
+    """Power iteration hit the iteration cap or left the float range; carries
+    the last eigenvalue bounds."""
 
     def __init__(self, message: str, lower: float | None = None,
                  upper: float | None = None, iterations: int | None = None):

@@ -7,8 +7,10 @@ immutable after construction, so instances can be shared freely.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import lt
 from typing import Iterable, Sequence
@@ -107,20 +109,28 @@ def _raise_first_error(n: int, k: int, raw_edges) -> None:
 @dataclass(frozen=True)
 class ComponentDecomposition:
     """Partition of the vertices into connected components, isolated
-    vertices as singletons, with the search tree as witness.
+    vertices as singletons, held as the spanning forest of the search.
 
-    ``parts`` lists the components by smallest member ascending, each part
-    sorted ascending. ``order`` lists all n vertices as the search reached
-    them, part by part; ``reached_by[v - 1]`` indexes the edge that reached
-    v, or is -1 at a part's start."""
+    ``order`` lists all n vertices as the search reached them, one run per
+    part: a run begins at a start v, whose ``reached_by[v - 1]`` is -1, and
+    every other vertex v of it was reached through edge ``reached_by[v - 1]``.
+    ``parts`` and ``count`` are read off the forest, so they cannot disagree
+    with it; read them only once ``check_components`` has accepted it."""
 
-    parts: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
     reached_by: tuple[int, ...]
 
+    @cached_property
+    def parts(self) -> tuple[tuple[int, ...], ...]:
+        """The runs of ``order``, each sorted; by smallest member ascending,
+        as the search starts each part at the smallest unreached label."""
+        order, reached_by = self.order, self.reached_by
+        starts = [i for i, v in enumerate(order) if reached_by[v - 1] == -1]
+        return tuple(tuple(sorted(order[a:b])) for a, b in zip(starts, starts[1:] + [len(order)]))
+
     @property
     def count(self) -> int:
-        return len(self.parts)
+        return self.reached_by.count(-1)
 
 
 def construct(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
@@ -158,13 +168,11 @@ def connected_components(g: Hypergraph) -> ComponentDecomposition:
     seen_edge = [False] * g.m
     reached_by: list[int | None] = [None] * (g.n + 1)  # None until reached
     order: list[int] = []
-    parts: list[tuple[int, ...]] = []
     for start in range(1, g.n + 1):
         if reached_by[start] is not None:
             continue
         reached_by[start] = -1
         queue = deque([start])
-        first = len(order)
         while queue:
             v = queue.popleft()
             order.append(v)
@@ -176,44 +184,46 @@ def connected_components(g: Hypergraph) -> ComponentDecomposition:
                     if reached_by[u] is None:
                         reached_by[u] = j
                         queue.append(u)
-        parts.append(tuple(sorted(order[first:])))
-    return ComponentDecomposition(tuple(parts), tuple(order), tuple(reached_by[1:]))
+    return ComponentDecomposition(tuple(order), tuple(reached_by[1:]))
 
 
 def check_components(g: Hypergraph, d: ComponentDecomposition) -> ComponentDecomposition:
     """Return ``d`` once checked to hold the components of ``g``, else raise
-    ValueError, in O(n + k*m) with no search: no edge leaves a part, so none
-    is split, and every vertex but one start per part is reached through an
-    edge holding an earlier vertex of ``d.order``, so each part is connected."""
-    owner = [-1] * (g.n + 1)
-    for index, part in enumerate(d.parts):
-        for v in part:
-            if owner[v] >= 0:
-                raise ValueError(f"vertex {v} lies in parts {owner[v] + 1} and {index + 1}")
-            owner[v] = index
-    if -1 in owner[1:]:
-        raise ValueError(f"vertex {owner.index(-1, 1)} lies in no part")
-    for j, edge in enumerate(g.edges):
-        index = owner[edge[0]]
-        for v in edge:
-            if owner[v] != index:
-                raise ValueError(f"edge {j} {list(edge)} leaves its component {index + 1}")
-    if len(d.order) != g.n or len(d.reached_by) != g.n:
+    ValueError, in O(n + k*m) with no search. Three facts are checked:
+    ``d.order`` lists 1..n once each; every vertex v but a start is a member
+    of edge ``reached_by[v - 1]``, which holds a member listed before v; and
+    no edge leaves its run. By induction along ``order`` each run is
+    then connected, and being closed under edges it is a component."""
+    n, order, reached_by, edges = g.n, d.order, d.reached_by, g.edges
+    if len(order) != n or len(reached_by) != n or min(order) < 1 or max(order) > n:
         raise ValueError("the search order must list every vertex once")
-    listed: set[int] = set()
-    for v in d.order:
-        if v in listed or not 1 <= v <= g.n:
+    run = [0] * (n + 1)  # 0 until listed, then the 1-based run of the vertex
+    at = run.__getitem__
+    opened = bytearray(len(edges))  # 1 once an edge is seen to hold a listed vertex
+    runs = 0
+    for v in order:
+        if run[v]:
             raise ValueError("the search order must list every vertex once")
-        j = d.reached_by[v - 1]
-        edge = g.edges[j] if 0 <= j < g.m else ()
-        if j != -1 and v not in edge:
-            raise ValueError(f"vertex {v} is not in edge {j}, which reached it")
-        if j != -1 and listed.isdisjoint(edge):
-            raise ValueError(f"edge {j} reaches vertex {v} from no earlier vertex")
-        listed.add(v)
-    # no edge leaves a part, so its first listed vertex is a start: one each
-    if d.reached_by.count(-1) != d.count:
-        raise ValueError(f"the search has {d.reached_by.count(-1)} starts for {d.count} parts")
+        j = reached_by[v - 1]
+        if j == -1:
+            runs += 1
+        else:
+            edge = edges[j] if 0 <= j < len(edges) else ()
+            member = bisect_left(edge, v)  # members are sorted
+            if member == len(edge) or edge[member] != v:
+                raise ValueError(f"vertex {v} is not in edge {j}, which reached it")
+            # the first vertex an edge reaches needs a member listed before it;
+            # that member comes before every later one too
+            if not opened[j]:
+                if not max(map(at, edge)):
+                    raise ValueError(f"edge {j} reaches vertex {v} from no earlier vertex")
+                opened[j] = 1
+        run[v] = runs
+    for j, edge in enumerate(edges):
+        head = run[edge[0]]
+        for v in edge:
+            if run[v] != head:
+                raise ValueError(f"edge {j} {list(edge)} leaves its component {head}")
     return d
 
 

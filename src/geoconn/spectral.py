@@ -16,30 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
-from math import isfinite, isqrt, nan, sqrt
+from math import inf, isfinite, isqrt, nan, sqrt
 from typing import Sequence
 
-from .errors import (
-    DimensionError,
-    NoConvergence,
-    NotIrreducible,
-    NotRegular,
-    ZeroVector,
-)
-from .hypergraph import (
-    ComponentDecomposition,
-    Hypergraph,
-    check_components,
-    connected_components,
-)
-from .tensor import (
-    Number,
-    HypergraphView,
-    apply,
-    is_exact_scalar,
-    is_weakly_irreducible,
-    laplacian,
-)
+from .errors import DimensionError, NoConvergence, NotIrreducible, NotRegular, ZeroVector
+from .hypergraph import ComponentDecomposition, Hypergraph, check_components, connected_components
+from .tensor import (HypergraphView, Number, _require_nonnegative, apply, is_exact_scalar,
+                     laplacian)
 
 DEFAULT_TOL = 1e-9
 PERRON_TOL = 1e-10
@@ -267,13 +250,12 @@ class _Anderson:
         self.dfs.append([a - b for a, b in zip(fx, last_f)])
 
 
-def _hypertree_blocks(g: Hypergraph) -> tuple[int, list, list[list[int]]]:
-    """The elimination structure of a connected Berge-acyclic hypergraph,
-    in 0-based indices: the start of its incidence search, the edges in the
-    order the search discovers them as (head, children), and the edges'
-    members as k columns, heads first. The k-1 children of an edge are the
-    vertices it reached, and its head is its one member reached before it."""
-    search = connected_components(g)
+def _hypertree_blocks(g: Hypergraph, search: ComponentDecomposition
+                      ) -> tuple[int, list, list[list[int]]]:
+    """The elimination structure of a connected Berge-acyclic hypergraph
+    from its checked search, 0-based: the start, the edges in discovery
+    order as (head, children), and their members as k columns, heads first.
+    The children are the k-1 members the edge reached, the head the other."""
     blocks = []
     for j, reached in groupby(search.order[1:], key=lambda v: search.reached_by[v - 1]):
         children = tuple(v - 1 for v in reached)
@@ -346,39 +328,35 @@ def _newton_noda_step(tree: tuple[int, list, list[list[int]]], diagonal: Sequenc
 def perron(view: HypergraphView, tol: float = PERRON_TOL,
            max_iter: int = MAX_ITER) -> PerronResult:
     """Spectral radius and positive eigenvector of a nonnegative weakly
-    irreducible tensor by a shifted power iteration, accelerated by
-    Newton-Noda steps on a hypertree and by Anderson mixing otherwise.
+    irreducible tensor by a power iteration on T + I (weak irreducibility
+    alone does not make the plain iteration converge; the unit shift does).
 
-    Iterates on T + I (unit diagonal shift; weak irreducibility alone does
-    not make the plain iteration convergent, while the shift does and only
-    moves the spectral radius by 1). From x > 0, starting at the all-ones
-    vector, each step computes z = (T + I) x^{m-1}. For any positive x the
-    Collatz-Wielandt ratios z_i / x_i^{m-1} bracket the spectral radius of
-    T + I (Chang, Pearson and Zhang, Commun. Math. Sci. 6, 2008), and the
-    iteration stops once max - min < tol, returning the bracket midpoint
-    minus the shift with x sup-normalized. A fixed point such as the
-    all-ones vector of a regular adjacency tensor returns at iteration 1.
+    From the all-ones x each step computes z = (T + I) x^{m-1}, whose
+    Collatz-Wielandt ratios z_i / x_i^{m-1} bracket the radius of T + I
+    (Chang, Pearson and Zhang, Commun. Math. Sci. 6, 2008); the iteration
+    stops once max - min < tol and returns the midpoint minus 1 with x
+    sup-normalized, at iteration 1 on a fixed point. On a hypertree
+    (connected with m*(k-1) = n-1) the next iterate is a Newton-Noda step
+    (``_newton_noda_step``; Liu, Guo and Lin, Numer. Math. 137, 2017),
+    whose step count does not grow with the path length. Elsewhere, and
+    once that solve breaks down, it mixes the plain step F(x), the
+    (m-1)-th root of z normalized to mean 1, with the last _DEPTH steps
+    (``_Anderson``), and takes F(x) itself when the mix has an entry <= 0
+    or while the mixing stagnates: once _DEPTH brackets in a row are no
+    narrower than the narrowest seen, until one is.
 
-    Otherwise, when the hypergraph is a hypertree (Berge-acyclic, which for
-    a connected one means m*(k-1) = n-1), the next iterate is a
-    Newton-Noda step at the upper bracket end (``_newton_noda_step``; Liu,
-    Guo and Lin, Numer. Math. 137, 2017, after Noda, Numer. Math. 17,
-    1971), whose step count does not grow with the path length. On any
-    other input, and for the rest of the run once the step's solve breaks
-    down (as at the float fixed point), the plain step is F(x), the
-    entrywise (m-1)-th root of z normalized to mean 1, and the next iterate
-    mixes it with the last _DEPTH steps by least squares (``_Anderson``),
-    falling back to F(x) when the mix has an entry <= 0. The bracket is
-    taken at the iterate itself, so either step moves only the path to
-    convergence, never the stop rule.
-
-    The returned vector is entrywise positive with maximum 1, and the pair
-    passes verify_h_eigenpair at tolerance 10*tol. Raises NotIrreducible
-    when the hypergraph is not connected, NotNonnegative for a Laplacian
-    view with an edge, and NoConvergence (with the last bracket) when max_iter
-    is hit or the verification fails.
+    One checked search (``check_components``) is both the connectivity
+    gate and a hypertree's elimination order. The returned pair passes
+    verify_h_eigenpair at 10*tol, with a positive vector of maximum 1.
+    Raises NotIrreducible when the hypergraph is not connected,
+    NotNonnegative for a Laplacian view with an edge, ValueError when the
+    search fails its check, and NoConvergence with the last bracket when
+    max_iter is hit, the verification fails, or x^{[m-1]} underflows to 0
+    (the Perron vector spans more than the float range).
     """
-    if not is_weakly_irreducible(view):
+    _require_nonnegative(view)
+    search = check_components(view.graph, connected_components(view.graph))
+    if search.count != 1:
         raise NotIrreducible("power iteration requires a weakly irreducible tensor")
     power = view.order - 1
     root = 1.0 / power
@@ -388,9 +366,15 @@ def perron(view: HypergraphView, tol: float = PERRON_TOL,
     # a connected hypergraph is Berge-acyclic exactly when m*(k-1) = n-1
     hypertree = view.graph.m * power == view.dim - 1
     tree = None
+    narrowest, stalled = inf, 0  # over the brackets of Anderson steps
     for iteration in range(1, max_iter + 1):
-        y = apply(view, x)
         xp = [xi ** power for xi in x]
+        if min(xp) == 0.0:
+            raise NoConvergence(
+                f"the Perron vector leaves the float range after {iteration - 1} iterations "
+                f"(spectral radius in [{lower - 1.0}, {upper - 1.0}])",
+                lower - 1.0, upper - 1.0, iteration - 1)
+        y = apply(view, x)
         z = [float(yi) + v for yi, v in zip(y, xp)]
         ratios = [zi / v for zi, v in zip(z, xp)]
         upper = max(ratios)
@@ -407,16 +391,20 @@ def perron(view: HypergraphView, tol: float = PERRON_TOL,
             return PerronResult(rho, vector, iteration, tol)
         if hypertree:
             if tree is None:
-                tree = _hypertree_blocks(view.graph)
+                tree = _hypertree_blocks(view.graph, search)
             step = _newton_noda_step(tree, view.diagonal, x, xp, upper, power)
             if step is not None:
                 x = step
                 continue
             hypertree = False
+        stalled = 0 if upper - lower < narrowest else stalled + 1
+        narrowest = min(narrowest, upper - lower)
         scaled = [zi ** root for zi in z]
         mean = sum(scaled) / view.dim
         fx = [si / mean for si in scaled]
-        x = history.next_iterate(fx, [fi - xi for fi, xi in zip(fx, x)])
+        mixed = history.next_iterate(fx, [fi - xi for fi, xi in zip(fx, x)])
+        # the mixing has stagnated: plain steps until a bracket narrows
+        x = fx if stalled >= _DEPTH else mixed
     raise NoConvergence(
         f"no convergence after {max_iter} iterations "
         f"(spectral radius in [{lower - 1.0}, {upper - 1.0}])",
@@ -435,7 +423,8 @@ def _indicator_certificates(size: int, h: int, k: int, tol: float
 
     The H residual is h. L(c*1) = c^(k-1)*L*1, so the Z residual is the
     exact defect of the printed vector, max(c^(k-1)*h, |size*c^2 - 1|),
-    rounded once to float when c is; both are accepted unrounded.
+    rounded once to float when c is; both are accepted unrounded. At h = 0
+    the power, millions of bits at large k, is not taken.
     """
     residual = Fraction(h)
     h_cert = EigenpairCertificate(0, (1,) * size, VARIANT_H, residual, True,
@@ -444,7 +433,9 @@ def _indicator_certificates(size: int, h: int, k: int, tol: float
     exact = root * root == size
     entry: Number = Fraction(1, root) if exact else 1.0 / sqrt(size)
     c = Fraction(entry)
-    defect = max(c ** (k - 1) * h, abs(size * c * c - 1))
+    defect = abs(size * c * c - 1)
+    if h:
+        defect = max(c ** (k - 1) * h, defect)
     z_cert = EigenpairCertificate(0, (entry,) * size, VARIANT_Z,
                                   defect if exact else float(defect), exact,
                                   defect <= tol)
@@ -455,16 +446,13 @@ def geometry_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> Connectivi
     """Compute beta(G), beta_Z(G) and, for a regular input, beta_rho(G),
     with certificates, in one O(n + k*m) pass.
 
-    ``check_components`` first raises ValueError unless the parts of
-    ``connected_components`` are the components; each part's connectivity
-    is checked against the search's spanning tree, not assumed from the
-    search. No edge leaves a part C, so (L*1_C)_i is (L*1)_i on C and 0
-    elsewhere, and the one exact integer contraction y = L*1 gives each
-    indicator's H residual, max |y_i| over C, and from it the Z residual
-    (``_indicator_certificates``). On a d-regular input A*1 - d*1 = -L*1,
-    so the H certificates restate as eigenpairs of the adjacency tensor at
-    d with the same residual. The betas count the accepted certificates,
-    so a rejected one lowers them.
+    ``check_components`` first raises ValueError unless the runs of the
+    search forest are the components. No edge leaves a part C, so (L*1_C)_i
+    is (L*1)_i on C and 0 elsewhere: one exact contraction y = L*1 gives
+    each indicator's H residual, max |y_i| over C, and from it the Z
+    residual (``_indicator_certificates``). On a d-regular input A*1 - d*1
+    = -L*1 restates them as adjacency eigenpairs at d. The betas count the
+    accepted certificates, so a rejected one lowers them.
 
     Maximality is not computed; it rests on two theorems that hold for the
     checked parts. A weakly irreducible nonnegative tensor has a unique
@@ -512,8 +500,7 @@ def rho_connectivity(g: Hypergraph, tol: float = DEFAULT_TOL) -> ConnectivityRep
     adjacency certificates at d as ``certificates``, component-local like
     the others.
 
-    For a d-regular hypergraph L = d*I - A, so (lambda, x) is an eigenpair
-    of A exactly when (d - lambda, x) is one of L; the all-ones vector is a
+    For a d-regular hypergraph L = d*I - A, and the all-ones vector is a
     positive eigenvector of A at d, which forces the spectral radius to be
     d. Raises NotRegular otherwise.
     """

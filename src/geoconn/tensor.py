@@ -12,12 +12,8 @@ materialized: the contraction
 
     (T x^{k-1})_i = sum_{i_2..i_k} t_{i i_2...i_k} x_{i_2} ... x_{i_k}
 
-is evaluated over the edges, where the (k-1)! symmetric copies of each edge
-cancel the 1/(k-1)! weight analytically: the products are formed column by
-column over the edges' k member columns, and the terms are then added into
-their entries edge by edge, so each entry sums in edge order and float
-results are those of a per-edge loop. Evaluation never leaves the input
-number domain, so integer or Fraction vectors produce exact results.
+is evaluated over the edges (``apply``), where the (k-1)! symmetric copies
+of each edge cancel the 1/(k-1)! weight analytically.
 """
 
 from __future__ import annotations
@@ -145,16 +141,12 @@ def support_digraph(view: HypergraphView) -> dict[int, tuple[int, ...]]:
 
 
 def is_weakly_irreducible(view: HypergraphView) -> bool:
-    """True when the nonnegative view is weakly irreducible, that is when
-    its support digraph is strongly connected; a 1-dimensional tensor with
-    no arcs counts as such, so a single-vertex hypergraph is consistent
-    with being connected.
-
-    The support links every two members of an edge both ways, so this is
-    connectivity of the hypergraph (Pearson and Zhang, Graphs Combin. 30,
-    2014), decided by one incidence breadth-first search in O(k*m + n) and
-    checked by ``check_components``. A Laplacian view with an edge raises
-    NotNonnegative.
+    """True when the nonnegative view is weakly irreducible: its support
+    digraph, which links every two members of an edge both ways, is strongly
+    connected, so this is connectivity of the hypergraph (Pearson and Zhang,
+    Graphs Combin. 30, 2014; a single vertex counts as connected), decided
+    by one checked incidence search in O(k*m + n). A Laplacian view with an
+    edge raises NotNonnegative.
     """
     _require_nonnegative(view)
     return check_components(view.graph, connected_components(view.graph)).count == 1

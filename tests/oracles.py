@@ -41,28 +41,27 @@ def union_find_components(g: Hypergraph) -> int:
     return len(union_find_parts(g))
 
 
-def spanning_forest_holds(g: Hypergraph, parts: Sequence[Sequence[int]],
-                          order: Sequence[int], reached_by: Sequence[int]) -> bool:
-    """Whether ``order`` and ``reached_by`` witness that every part is
-    connected: ``order`` lists each vertex once, the parts one after the
-    other; each part has exactly one vertex with ``reached_by`` -1, and
-    every other vertex v is a member of edge ``reached_by[v - 1]``, which
-    also holds a vertex of v's part that ``order`` lists before v."""
+def spanning_forest_holds(g: Hypergraph, order: Sequence[int],
+                          reached_by: Sequence[int]) -> bool:
+    """Whether ``order`` and ``reached_by`` witness the components as runs:
+    ``order`` lists each vertex once, split into runs at the vertices with
+    ``reached_by`` -1, the first of them included; every other vertex v is a
+    member of edge ``reached_by[v - 1]``, which also holds a vertex of v's
+    run that ``order`` lists before v; and every edge lies in one run."""
     if sorted(order) != list(range(1, g.n + 1)) or len(reached_by) != g.n:
         return False
-    part_of = {v: index for index, part in enumerate(parts) for v in part}
-    if len(part_of) != g.n or [part_of[v] for v in order] != sorted(part_of.values()):
+    if reached_by[order[0] - 1] != -1:
         return False
-    position = {v: index for index, v in enumerate(order)}
-    starts = [0] * len(parts)
+    run_of, position, run = {}, {}, -1
+    for index, v in enumerate(order):
+        run += reached_by[v - 1] == -1
+        run_of[v], position[v] = run, index
     for v in order:
         j = reached_by[v - 1]
-        if j == -1:
-            starts[part_of[v]] += 1
-        elif not (0 <= j < g.m and v in g.edges[j] and any(
-                part_of[u] == part_of[v] and position[u] < position[v] for u in g.edges[j])):
+        if j != -1 and not (0 <= j < g.m and v in g.edges[j] and any(
+                run_of[u] == run_of[v] and position[u] < position[v] for u in g.edges[j])):
             return False
-    return starts == [1] * len(parts)
+    return all(len({run_of[v] for v in edge}) == 1 for edge in g.edges)
 
 
 def adjacency_entries(g: Hypergraph) -> dict[tuple[int, ...], Fraction]:

@@ -346,6 +346,17 @@ def test_check_on_many_isolated_vertices_stays_small(tmp_path):
     assert done.stdout.splitlines()[-1] == "beta = 20000 = components"
 
 
+def test_check_on_one_edge_of_100000_vertices(tmp_path):
+    # the witness check used to scan the reaching edge once per vertex,
+    # O(n*k): 41.7 s here; one pass over the forest takes well under a second
+    labels = " ".join(map(str, range(1, 100001)))
+    path = write(tmp_path, "g.hg", f"100000 100000 1\n{labels}\n")
+    done = subprocess.run([sys.executable, "-m", "geoconn.cli", "check", path],
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "beta = 1 = components"
+
+
 def test_padded_output_is_written_in_256_megabytes(tmp_path):
     # 5000 vectors of length 5000, 326 MB of output: rendered as runs of
     # zeros and written in batches, the output needs O(n) memory, where

@@ -137,7 +137,7 @@ def test_components_partition_and_match_union_find():
         assert sorted(seen) == list(range(1, g.n + 1))
         assert None not in part_of_each_edge(g, d)
         assert list(d.parts) == union_find_parts(g)
-        assert spanning_forest_holds(g, d.parts, d.order, d.reached_by)
+        assert spanning_forest_holds(g, d.order, d.reached_by)
 
 
 def test_induced_relabels_and_maps():

@@ -279,6 +279,39 @@ def test_perron_converges_on_a_7000_edge_loose_path():
     assert all(v > 0 for v in result.vector) and max(result.vector) == 1.0
 
 
+def test_perron_vector_leaving_the_float_range_stops_with_the_last_bracket(tmp_path, capsys):
+    # a star of 400 leaves with a 300-vertex path hung from its centre: the
+    # Perron vector falls by about 20 per step along the path, below the
+    # smallest float, where the bracket used to divide by zero (exit 1)
+    edges = [(1, v) for v in range(2, 402)] + [(1, 402)] + [(v, v + 1) for v in range(402, 701)]
+    with pytest.raises(NoConvergence, match="leaves the float range") as err:
+        perron(adjacency(construct(701, 2, edges)))
+    assert err.value.lower <= 20.0 <= err.value.upper  # rho > sqrt(400)
+    assert math.isfinite(err.value.upper) and err.value.iterations > 0
+    path = tmp_path / "g.hg"
+    path.write_text("2 701 700\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert run(["perron", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("geoconn: error: the Perron vector leaves the float range")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", [90, 120])
+def test_perron_leaves_stagnated_mixing(tmp_path, capsys, m):
+    # a loose path with a chord is not a hypertree; Anderson mixing stalled
+    # here and spent all 10000 steps with the bracket still 0.5 and 0.3 wide
+    n = 2 * m + 1
+    edges = [(2 * j + 1, 2 * j + 2, 2 * j + 3) for j in range(m)] + [(2, n // 2, n - 1)]
+    path = tmp_path / "g.hg"
+    path.write_text(f"3 {n} {m + 1}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges))
+    assert run(["perron", str(path)]) == 0
+    rho, iterations = capsys.readouterr().out.splitlines()[:2]
+    assert int(iterations.removeprefix("iterations: ")) < 2000
+    oracle = power_iteration(adjacency_entries(construct(n, 3, edges)), 3, n, tol=1e-10)
+    assert abs(float(rho.removeprefix("rho: ")) - oracle) <= 1e-8
+
+
 def test_perron_on_random_hypertrees_matches_the_oracles():
     rng = random.Random(1606)
     for k in (2, 3, 4, 5):
@@ -490,41 +523,22 @@ def test_rejected_certificate_lowers_beta_and_fails_check(monkeypatch, tmp_path,
 
 
 def test_edge_leaving_its_part_is_refused(monkeypatch):
+    # vertex 2 forged as a start splits edge 0 between two runs
     g = construct(4, 3, [(1, 2, 3)])
-    cut = replace(connected_components(g), parts=((1, 4), (2, 3)))
+    cut = replace(connected_components(g), reached_by=(-1, -1, 0, -1))
     monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: cut)
-    with pytest.raises(ValueError, match="edge 0"):
-        geometry_connectivity(g)
-
-
-def test_vertex_left_out_of_the_parts_is_refused(monkeypatch, tmp_path):
-    # vertex 4 is isolated; parts that drop it would pass as one component
-    g = construct(4, 3, [(1, 2, 3)])
-    short = replace(connected_components(g), parts=((1, 2, 3),))
-    monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: short)
-    with pytest.raises(ValueError, match="vertex 4 lies in no part"):
-        geometry_connectivity(g)
-    path = tmp_path / "g.hg"
-    path.write_text("3 4 1\n1 2 3\n")
-    with pytest.raises(ValueError, match="vertex 4"):
-        run(["report", str(path)])
-
-
-def test_vertex_in_two_parts_is_refused(monkeypatch):
-    g = construct(4, 3, [(1, 2, 3)])
-    twice = replace(connected_components(g), parts=((1, 2, 3), (3, 4)))
-    monkeypatch.setattr("geoconn.spectral.connected_components", lambda _: twice)
-    with pytest.raises(ValueError, match="vertex 3 lies in parts 1 and 2"):
+    with pytest.raises(ValueError, match=r"edge 0 \[1, 2, 3\] leaves its component 1"):
         geometry_connectivity(g)
 
 
 @pytest.mark.parametrize("field, value, message", [
-    # two components merged into one part: closed under edges, but two starts
-    ("parts", ((1, 2, 3, 4, 5, 6),), "2 starts for 1 parts"),
+    # two components merged into one run: vertex 4 said to be reached
+    # through its own edge, of which it is the first listed member
+    ("reached_by", (-1, 0, 0, 1, 1, 1), "edge 1 reaches vertex 4 from no earlier vertex"),
     # vertex 5 said to be reached through the edge 1 2 3
     ("reached_by", (-1, 0, 0, -1, 0, 1), "vertex 5 is not in edge 0"),
-    # vertex 4 moved to the first part
-    ("parts", ((1, 2, 3, 4), (5, 6)), r"edge 1 \[4, 5, 6\] leaves its component 1"),
+    # an extra start on vertex 6 splits the second component
+    ("reached_by", (-1, 0, 0, -1, 1, -1), r"edge 1 \[4, 5, 6\] leaves its component 2"),
     # vertex 2 listed before any other member of the edge that reached it
     ("order", (2, 1, 3, 4, 5, 6), "edge 0 reaches vertex 2 from no earlier vertex"),
     ("order", (1, 2, 3, 4, 5), "the search order must list every vertex once"),
@@ -537,12 +551,12 @@ def test_broken_component_witness_is_refused(monkeypatch, tmp_path, field, value
     assert witnessed.order == (1, 2, 3, 4, 5, 6)
     assert witnessed.reached_by == (-1, 0, 0, -1, 1, 1)
     broken = replace(witnessed, **{field: value})
-    assert not spanning_forest_holds(g, broken.parts, broken.order, broken.reached_by)
+    assert not spanning_forest_holds(g, broken.order, broken.reached_by)
     for module in ("spectral", "tensor", "cli"):
         monkeypatch.setattr(f"geoconn.{module}.connected_components", lambda _: broken)
     with pytest.raises(ValueError, match=message):
         geometry_connectivity(g)
-    # the weak irreducibility gate of perron checks the same witness
+    # the connectivity gate of perron checks the same witness
     with pytest.raises(ValueError, match=message):
         perron(adjacency(g))
     path = tmp_path / "g.hg"
@@ -608,6 +622,25 @@ def test_z_residual_is_the_exact_defect_of_the_printed_vector():
                 assert cert.residual == float(defect) > 0
         assert report.beta_z == squares
         assert report.beta == len(sizes)
+
+
+def test_zero_residual_takes_no_power_of_the_z_entry(monkeypatch):
+    # with h = 0 the term c^(k-1)*h is 0; its exact power alone took 0.35 s
+    # on one edge of 100000 vertices and grows to 60-million-bit integers
+    powers = []
+    power = Fraction.__pow__
+
+    def recorded(base, exponent, *rest):
+        powers.append(exponent)
+        return power(base, exponent, *rest)
+
+    monkeypatch.setattr(Fraction, "__pow__", recorded)
+    g = construct(13, 5, [(1, 2, 3, 4, 5), (5, 6, 7, 8, 9)])  # parts of 9, 1, 1, 1, 1
+    report = geometry_connectivity(g, tol=0.0)
+    assert powers == []
+    assert [c.residual for c in report.z_certificates] == [0] * 5
+    assert all(isinstance(c.residual, Fraction) for c in report.z_certificates)
+    assert report.beta_z == report.beta == 5
 
 
 def test_z_connectivity_agrees_with_beta():
