@@ -1,16 +1,20 @@
 """Command line front end.
 
-Hypergraph files are plain text: a header line ``k n m`` followed by m edge
-lines of k 1-based vertex labels each, whitespace separated, every field
-ASCII [0-9]+, with 2 <= k <= n and n at most ``MAX_VERTICES`` (1,000,000).
-Blank lines and ``#`` comments (full line or trailing) are ignored.  The
-edge lines are read ``CHUNK_LINES`` at a time into one flat list of labels;
-only a file with a wrong line count, field count or token is read again line
-by line, to name the line of that fault.  ``construct`` validates the edges
-once, and the line of the edge its error names is found by counting.  Vector
-files hold one number per line, as an integer, a rational ``p/q`` or a
-finite decimal; integer and rational entries keep the computation exact.
-Files must be UTF-8.
+Hypergraph files are UTF-8 text: a header line ``k n m`` followed by m edge
+lines of k 1-based vertex labels each, every field ASCII [0-9]+, with
+2 <= k <= n and n at most ``MAX_VERTICES`` (1,000,000).  A line ends at
+LF, CRLF or CR.  Outside a ``#`` comment (full line or trailing), which may
+hold any text, fields are separated by spaces and tabs only: other
+whitespace, such as a form feed or a no-break space, is refused on its
+line.  Blank lines and comments are ignored.  The text is read in blocks
+of about ``BLOCK_CHARS`` characters cut at a line end, each into sorted
+label tuples; the labels 1..n are shared, one int object each.  Only a file
+with a wrong character, line count, field count or token is read again
+line by line, with the same line splitter, to name the line of that fault.
+``construct`` validates the edges once, and the line of the edge its error
+names is found by counting.  Vector files hold one or more numbers per
+line, as integers, rationals ``p/q`` or finite decimals, under the same
+line rules; integer and rational entries keep the computation exact.
 
 JSON output (``--format json`` and ``report``) is ``json.dumps(document,
 indent=2)`` byte for byte; ``_json`` renders it in pieces, its lists of
@@ -29,16 +33,20 @@ Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, islice
 from math import inf, isfinite, nan
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import EdgeError, GeoconnError, IoError, NoConvergence, ParseError
-from .hypergraph import Hypergraph, check_components, connected_components, construct, degrees
+from .hypergraph import (Edge, Hypergraph, check_components, connected_components, construct,
+                         degrees)
 from .spectral import (
     DEFAULT_TOL,
     MAX_ITER,
@@ -63,17 +71,53 @@ TENSOR_VIEWS = {"adjacency": adjacency, "laplacian": laplacian,
                 "laplacian-shifted": shifted_laplacian}
 
 
-# body lines tokenized at a time: the ingest holds the string tokens of one
-# chunk, never of the whole file
-CHUNK_LINES = 4096
+# characters of text split into lines at a time, up to the next line end:
+# the ingest holds the lines and tokens of one block, never of the whole file
+BLOCK_CHARS = 1 << 16
+
+# in ASCII text without line ends, str.split() splits at spaces and tabs
+# alone once VT, FF and the four ASCII separators are absent, and int()
+# takes exactly the fields [0-9]+ once signs and underscores are absent too
+_REFUSED_IN_BULK = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "+", "-", "_")
+# whitespace that is not a space or a tab, as str.split() and str.isspace() see it
+_NOT_SPACE_OR_TAB = re.compile(r"[^\S \t]")
 
 
-def _content_lines(lines: Sequence[str], start: int = 0) -> Iterator[tuple[int, str]]:
-    # yields (1-based line number, stripped content) for non-empty lines[start:]
-    for number, raw in enumerate(islice(lines, start, None), start=start + 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line
+def _blocks(text: str) -> Iterator[str]:
+    """The text in blocks of whole lines, each cut at the first LF at least
+    BLOCK_CHARS characters after its start, with every line end (LF, CRLF
+    or CR) written as LF and the one ending the block dropped."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + BLOCK_CHARS)
+        end = len(text) if cut < 0 else cut + 1
+        block = text[start:end]
+        start = end
+        if "\r" in block:
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        yield block.removesuffix("\n")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text, without their ends, as ``_blocks`` cuts them."""
+    for block in _blocks(text):
+        yield from block.split("\n")
+
+
+def _content_lines(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, content) for each line whose content, its text before
+    any ``#`` stripped of spaces and tabs, is not empty, the lines numbered
+    from ``first``. Raises ParseError on a line whose content holds other
+    whitespace."""
+    for number, line in enumerate(lines, start=first):
+        content = line.split("#", 1)[0]
+        other = _NOT_SPACE_OR_TAB.search(content)
+        if other:
+            raise ParseError(f"fields must be separated by spaces and tabs, got {other[0]!r}",
+                             line=number)
+        content = content.strip(" \t")
+        if content:
+            yield number, content
 
 
 def _unsigned(line: str) -> tuple[int, ...] | None:
@@ -87,31 +131,58 @@ def _unsigned(line: str) -> tuple[int, ...] | None:
         return None
 
 
-def _body_labels(lines: list[str], start: int, k: int, m: int,
-                 comments: bool) -> list[int] | None:
-    """The labels of the m edge lines in lines[start:], flat in file order,
-    or None unless every field is ASCII [0-9]+ and there are exactly m
-    non-empty lines of k fields each. Works CHUNK_LINES lines at a time."""
-    labels: list[int] = []
+def _edges(text: str, skip: int, k: int, n: int, m: int) -> list[Edge] | None:
+    """The edges on the lines of text after its first ``skip``, each a
+    sorted tuple of labels, or None unless every such line is blank, a
+    comment or k ASCII [0-9]+ fields separated by spaces and tabs, with m
+    lines of fields in all. Works a block at a time; the labels 1..n are
+    shared through one table, a label above n stays for construct to refuse."""
+    table = list(range(n + 1))
+    edges: list[Edge] = []
     rows_seen = 0
-    for first in range(start, len(lines), CHUNK_LINES):
-        chunk = lines[first:first + CHUNK_LINES]
-        if comments:
-            chunk = [line.split("#", 1)[0] for line in chunk]
-        rows = list(filter(None, map(str.split, chunk)))
+    for block in _blocks(text):
+        lines = block.split("\n")
+        if skip:
+            lines, skip = lines[skip:], max(skip - len(lines), 0)
+        if "#" in block:
+            lines = [line.split("#", 1)[0] for line in lines]
+            content = "".join(lines)
+        else:
+            content = block
+        if not content.isascii() or any(map(content.__contains__, _REFUSED_IN_BULK)):
+            return None
+        rows = list(filter(None, map(str.split, lines)))
         rows_seen += len(rows)
         if not rows:
             continue
         if rows_seen > m or set(map(len, rows)) != {k}:
             return None
-        joined = "".join(chain.from_iterable(rows))
-        if not (joined.isascii() and joined.isdigit()):
-            return None
-        try:  # int() refuses a field longer than sys.int_max_str_digits
-            labels.extend(map(int, chain.from_iterable(rows)))
+        try:  # a field that is not [0-9]+, or longer than sys.int_max_str_digits
+            labels = list(map(int, chain.from_iterable(rows)))
         except ValueError:
             return None
-    return labels if rows_seen == m else None
+        try:
+            labels = list(map(table.__getitem__, labels))
+        except IndexError:
+            labels = [table[v] if v <= n else v for v in labels]
+        edges += map(tuple, map(sorted, zip(*[iter(labels)] * k)))
+    return edges if rows_seen == m else None
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic garbage collector paused, then restored as it was. The
+    ingest makes a tuple per edge and no reference cycle, and each full
+    collection it set off walked the whole edge list: parse and construct
+    took 5.1 s with collections and 4.1 s without at the vertex cap
+    (n = 10^6, m = 3*10^6), 16.5 and 15.5 ms at n = 5,000, m = 15,000."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -119,13 +190,13 @@ def parse_hypergraph(text: str) -> Hypergraph:
     offending 1-based line number, or the underlying edge validation error
     wrapped with its line.
 
-    The edge lines are tokenized in chunks of CHUNK_LINES into one flat
-    label list. Only when the chunks cannot place a label in a k-tuple are
-    the lines read one at a time, to name a wrong line count or the first
-    bad token. ``construct`` then validates all edges once, and its
-    EdgeError is reported on the line of the edge it names."""
-    lines = text.splitlines()
-    header_line, header = next(_content_lines(lines), (None, ""))
+    The edge lines are read in blocks of about BLOCK_CHARS characters into
+    sorted label tuples (``_edges``). Only when a block cannot be read so
+    are the lines read one at a time, to name a bad character, a wrong
+    line count or the first bad token. ``construct`` then validates all
+    edges once, and its EdgeError is reported on the line of the edge it
+    names."""
+    header_line, header = next(_content_lines(_lines(text)), (None, ""))
     if header_line is None:
         raise ParseError("empty input, expected a 'k n m' header", line=None)
     numbers = _unsigned(header)
@@ -142,25 +213,28 @@ def parse_hypergraph(text: str) -> Hypergraph:
         # no edge of k distinct labels fits in 1..n (this covers n = 0); it
         # also bounds the exponent k - 1 of every contraction by MAX_VERTICES
         raise ParseError(f"uniformity k must be at most n = {n}, got {k}", line=header_line)
-    labels = _body_labels(lines, header_line, k, m, "#" in text)
-    if labels is None:
-        body = list(_content_lines(lines, header_line))
-        if len(body) != m:
-            raise ParseError(f"header promises {m} edges, file has {len(body)}",
-                             line=header_line)
-        edges = [_unsigned(line) for _, line in body]
-        if None in edges:
-            line_number, line = body[edges.index(None)]
-            raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
-                             line=line_number)
-    else:
-        edges = zip(*[iter(labels)] * k)
-    try:
-        g = construct(n, k, edges)
-    except EdgeError as exc:
-        line_number, _ = next(islice(_content_lines(lines, header_line), exc.edge_index, None))
-        raise ParseError(str(exc), line=line_number) from exc
-    if labels is None:
+
+    def body() -> Iterator[tuple[int, str]]:
+        return _content_lines(islice(_lines(text), header_line, None), header_line + 1)
+
+    with _collector_paused():
+        edges = _edges(text, header_line, k, n, m)
+        if edges is None:
+            count = sum(1 for _ in body())
+            if count != m:
+                raise ParseError(f"header promises {m} edges, file has {count}",
+                                 line=header_line)
+            for line_number, line in body():
+                if _unsigned(line) is None:
+                    raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
+                                     line=line_number)
+        rows = (_unsigned(line) for _, line in body()) if edges is None else edges
+        try:
+            g = construct(n, k, rows)
+        except EdgeError as exc:
+            line_number, _ = next(islice(body(), exc.edge_index, None))
+            raise ParseError(str(exc), line=line_number) from exc
+    if edges is None:
         raise RuntimeError("internal error: the bulk parse refused a file "
                            "in which the line-by-line re-scan finds no fault")
     return g
@@ -189,7 +263,7 @@ def parse_scalar(token: str) -> Number:
 
 def parse_vector(text: str) -> list[Number]:
     values: list[Number] = []
-    for line_number, line in _content_lines(text.splitlines()):
+    for line_number, line in _content_lines(_lines(text)):
         for token in line.split():
             try:
                 values.append(parse_scalar(token))
@@ -218,7 +292,10 @@ def _load(path: str, parse):
 
 def _decimal(value: Number) -> str:
     """Serialize a real for JSON output: exact values verbatim, floats via
-    repr (round-trips)."""
+    repr (round-trips). Floats are tested first: they are most entries, and
+    isinstance(value, Fraction) goes through the ABC machinery."""
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)

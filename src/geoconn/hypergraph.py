@@ -11,8 +11,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import lt
+from itertools import chain, compress, cycle, islice
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -44,19 +44,28 @@ class Hypergraph:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"uniformity k must be an integer >= 2, got {self.k!r}")
-        raw = tuple(self.edges)  # no copy when edges is a tuple already
-        try:
-            # via a list, so the kept tuple is allocated once at its size; one
-            # grown by resizing made glibc keep a freed 7 MB `report` buffer
-            # (many-components benchmark, peak RSS 41 -> 48 MB in half the runs)
-            edges = tuple(list(map(tuple, map(sorted, raw))))
-        except TypeError:  # an edge that is not iterable, or unorderable labels
-            edges = None
-        if edges is None or not _valid(self.n, self.k, edges):
-            _raise_first_error(self.n, self.k, raw)
-            raise RuntimeError("internal error: bulk validation refused edges "
-                               "that the per-edge re-scan accepts")
+        edges = self.edges
+        # the kept tuple is allocated once, at its size: one grown by
+        # resizing made glibc keep a freed 7 MB `report` buffer
+        # (many-components benchmark, peak RSS 41 -> 48 MB in half the runs)
+        raw = tuple(edges if isinstance(edges, (tuple, list)) else list(edges))
+        # tuples already sorted, as the parser gives them, are kept as they are
+        edges = raw
+        if not _valid(self.n, self.k, raw):
+            edges = _sorted(raw)
+            if edges is None or not _valid(self.n, self.k, edges):
+                _raise_first_error(self.n, self.k, raw)
+                raise RuntimeError("internal error: bulk validation refused edges "
+                                   "that the per-edge re-scan accepts")
         object.__setattr__(self, "edges", edges)
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        out = [0] * (self.n + 1)
+        for v in chain.from_iterable(self.edges):
+            out[v] += 1
+        del out[0]
+        return tuple(out)
 
     @property
     def m(self) -> int:
@@ -68,21 +77,34 @@ class Hypergraph:
         return range(1, self.n + 1)
 
 
-def _valid(n: int, k: int, edges: tuple[tuple, ...]) -> bool:
-    """Whether edges, each sorted, pass every check of ``_raise_first_error``,
-    decided by C-level passes over the columns instead of a loop per label."""
+def _sorted(raw: tuple) -> tuple[Edge, ...] | None:
+    """Each edge of raw as a sorted tuple; None when one is not iterable or
+    its labels are unorderable."""
+    try:
+        # via a list, so the tuple is allocated once at its size
+        return tuple(list(map(tuple, map(sorted, raw))))
+    except TypeError:
+        return None
+
+
+def _valid(n: int, k: int, edges: tuple) -> bool:
+    """Whether edges are tuples of k increasing int labels in 1..n, no two
+    alike: every check of ``_raise_first_error`` on sorted edges, decided by
+    C-level passes over the labels instead of a loop per label."""
     if not edges:
         return True
-    if set(map(len, edges)) != {k}:
+    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {k}:
         return False
     if not all(issubclass(t, int) and not issubclass(t, bool)
                for t in set(map(type, chain.from_iterable(edges)))):
         return False
-    columns = tuple(zip(*edges))
-    if min(columns[0]) < 1 or max(columns[-1]) > n:
+    # each label below the next within every edge, so its members are
+    # distinct and its first and last are its extremes
+    labels = chain.from_iterable(edges)
+    following = islice(chain.from_iterable(edges), 1, None)
+    if not all(compress(map(lt, labels, following), cycle((True,) * (k - 1) + (False,)))):
         return False
-    # sorted members are distinct iff each column is strictly below the next
-    if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
+    if min(map(itemgetter(0), edges)) < 1 or max(map(itemgetter(-1), edges)) > n:
         return False
     return len(set(edges)) == len(edges)
 
@@ -140,16 +162,13 @@ def construct(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     when the edge list is invalid; the exception records the offending edge
     index.
     """
-    return Hypergraph(n, k, tuple(map(tuple, edges)))
+    return Hypergraph(n, k, list(map(tuple, edges)))
 
 
 def degrees(g: Hypergraph) -> tuple[int, ...]:
-    """Per-vertex degree d_i = number of edges containing vertex i."""
-    out = [0] * g.n
-    for edge in g.edges:
-        for v in edge:
-            out[v - 1] += 1
-    return tuple(out)
+    """Per-vertex degree d_i = number of edges containing vertex i, counted
+    once per hypergraph."""
+    return g._degrees
 
 
 def connected_components(g: Hypergraph) -> ComponentDecomposition:

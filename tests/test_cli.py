@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from geoconn import (
     perron,
 )
 from geoconn.cli import (
-    CHUNK_LINES,
+    BLOCK_CHARS,
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_NO_CONVERGENCE,
@@ -109,8 +110,8 @@ def test_parse_hypergraph_edge_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("# c\n3 5 2\n1 2 3\n3 2 1\n")
     assert err.value.line == 4
-    # the edge lines are tokenized CHUNK_LINES at a time: a fault past the
-    # first chunk, in a CRLF file with comment lines, keeps its line
+    # the edge lines are read in blocks of BLOCK_CHARS characters: a fault
+    # past the first two blocks, in a CRLF file with comment lines, keeps its line
     for fault, message in (
             ("13801 x 13803",
              "edge line must hold unsigned integer labels, got '13801 x 13803'"),
@@ -121,7 +122,7 @@ def test_parse_hypergraph_edge_errors_carry_line_numbers():
             ("13801 13802 14002", "edge 6900: vertex label 14002 outside 1..14001"),
             ("3 2 1", "edge 6900 duplicates an earlier edge: [1, 2, 3]")):
         text = long_path_file(fault_at_edge_6900=fault)
-        assert text.count("\r\n") > 2 * CHUNK_LINES
+        assert text.index(f"\r\n{fault}\r\n") > 2 * BLOCK_CHARS
         with pytest.raises(ParseError) as err:
             parse_hypergraph(text)
         assert (err.value.line, str(err.value)) == (8629, message)
@@ -179,6 +180,61 @@ def test_parse_hypergraph_validates_edges_once(monkeypatch):
         except ParseError:
             pass
         assert calls == [5], text
+
+
+# whitespace that str.split() and str.splitlines() take but the format does not
+OTHER_WHITESPACE = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                    "\x85", "\xa0", "\u2028", "\u2029", "\u3000")
+
+
+@pytest.mark.parametrize("char", OTHER_WHITESPACE)
+def test_other_whitespace_is_refused_on_its_line_and_allowed_in_comments(char, monkeypatch):
+    # with 12-character blocks the first block ends after line 3 and line 4
+    # starts the second; 1 puts every line in a block of its own
+    lines = ["3 9 3", "1 2 3", "4 5 6", "7 8 9"]
+    plain = parse_hypergraph("\n".join(lines) + "\n")
+    message = f"fields must be separated by spaces and tabs, got {char!r}"
+    for size in (1, 12, 13, BLOCK_CHARS):
+        monkeypatch.setattr("geoconn.cli.BLOCK_CHARS", size)
+        for number in (1, 3, 4):
+            for bad in (lines[number - 1].replace(" ", char, 1), char,
+                        f"{lines[number - 1]} {char}"):
+                text = "\n".join(lines[:number - 1] + [bad] + lines[number:]) + "\n"
+                with pytest.raises(ParseError) as err:
+                    parse_hypergraph(text)
+                assert (err.value.line, str(err.value)) == (number, message), (size, bad)
+            commented = lines[:number - 1] + [f"{lines[number - 1]} # a{char}b",
+                                              f"# {char}"] + lines[number:]
+            assert parse_hypergraph("\n".join(commented)) == plain, size
+    with pytest.raises(ParseError) as err:
+        parse_vector(f"1\n0 # {char}\n1{char}2\n")
+    assert (err.value.line, str(err.value)) == (3, message)
+
+
+def test_a_form_feed_names_its_line(tmp_path, capsys):
+    # str.splitlines() broke this line in two: "header promises 2 edges,
+    # file has 3", on line 1
+    path = write(tmp_path, "g.hg", "3 10 2\n1 2 3\n4 5\x0c6\n")
+    assert run(["check", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == (f"geoconn: error: {path}:3: fields must be separated "
+                                       "by spaces and tabs, got '\\x0c'\n")
+
+
+def test_lines_end_at_lf_crlf_or_cr(tmp_path, capsys, monkeypatch):
+    # the line numbers of the library agree with those of the command line,
+    # which reads the file in text mode
+    text = "# CR\r3 9 3\r\n1 2 3\n\r4 5 6\r7 8 x\r\n"
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph(text)
+    assert err.value.line == 6
+    path = tmp_path / "g.hg"
+    path.write_bytes(text.encode())
+    for size in (1, 8, BLOCK_CHARS):
+        monkeypatch.setattr("geoconn.cli.BLOCK_CHARS", size)
+        assert run(["components", str(path)]) == EXIT_INPUT
+        assert f"{path}:6: edge line must hold" in capsys.readouterr().err
+        for ends in ("\n", "\r\n", "\r"):
+            assert parse_hypergraph(text.replace("x", "9").replace("\r\n", ends)).m == 3
 
 
 def test_parse_scalar_forms():
@@ -353,6 +409,27 @@ def test_check_on_one_edge_of_100000_vertices(tmp_path):
     path = write(tmp_path, "g.hg", f"100000 100000 1\n{labels}\n")
     done = subprocess.run([sys.executable, "-m", "geoconn.cli", "check", path],
                           capture_output=True, text=True, timeout=20)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "beta = 1 = components"
+
+
+def linear_connected_file(n: int, m: int, seed: int) -> str:
+    """A connected 3-uniform file with n vertices and m edges: each vertex
+    from 4 on joins an edge with two earlier ones, then random distinct
+    edges fill up to m."""
+    rng = random.Random(seed)
+    edges = {(1, 2, 3)}
+    edges.update(tuple(sorted((v, *rng.sample(range(1, v), 2)))) for v in range(4, n + 1))
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 3))))
+    return f"3 {n} {m}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges)
+
+
+def test_check_of_100000_vertices_fits_in_112_megabytes(tmp_path):
+    # parsed a block at a time into shared labels and rows sorted once, the
+    # ingest peaks near the size of the hypergraph; it needed 144 MB or more
+    path = write(tmp_path, "g.hg", linear_connected_file(100_000, 300_000, seed=19))
+    done = run_in_address_space("check", path, limit=112 << 20)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[-1] == "beta = 1 = components"
 
@@ -597,6 +674,20 @@ def test_batches_do_not_change_the_bytes(tmp_path, capsys, monkeypatch):
             assert capsys.readouterr().out == whole, (argv, size)
             assert run([*argv, "--out", str(target)]) == EXIT_OK
             assert target.read_bytes() == whole.encode(), (argv, size)
+        monkeypatch.undo()
+
+
+def test_block_size_does_not_change_the_bytes(tmp_path, capsys, monkeypatch):
+    # blocks of one character or a few lines print what the default prints
+    text = loose_chains([1, 2, 3] * 10, isolated=7).replace("\n", "  # edge\r\n", 5)
+    chains = write(tmp_path, "chains.hg", text)
+    for argv in (["components", chains], ["check", chains], ["report", chains]):
+        assert run(argv) == EXIT_OK
+        whole = capsys.readouterr().out
+        for size in (1, 30):
+            monkeypatch.setattr("geoconn.cli.BLOCK_CHARS", size)
+            assert run(argv) == EXIT_OK
+            assert capsys.readouterr().out == whole, (argv, size)
         monkeypatch.undo()
 
 

@@ -27,6 +27,17 @@ def test_construct_normalizes_edges():
     assert list(g.vertices()) == [1, 2, 3, 4, 5]
 
 
+def test_construct_keeps_sorted_tuples_and_sorts_the_rest():
+    # the parser hands over sorted tuples: they are kept, not copied again
+    rows = [(1, 2, 3), (2, 4, 5)]
+    g = construct(5, 3, rows)
+    assert all(kept is row for kept, row in zip(g.edges, rows))
+    for unsorted in ([(1, 2, 3), (5, 4, 2)], [[1, 2, 3], [2, 4, 5]], iter([(3, 2, 1), (2, 4, 5)])):
+        g = construct(5, 3, unsorted)
+        assert g.edges == ((1, 2, 3), (2, 4, 5)) and type(g.edges) is tuple
+        assert set(map(type, g.edges)) == {tuple}
+
+
 def test_construct_rejects_repeated_vertex():
     with pytest.raises(MalformedEdge) as err:
         construct(4, 3, [(1, 2, 3), (2, 2, 4)])
@@ -86,6 +97,8 @@ def test_construct_rejects_bad_sizes():
 def test_degrees_counts_incidences():
     g = construct(5, 3, [(1, 2, 3), (1, 2, 4)])
     assert degrees(g) == (2, 2, 1, 1, 0)
+    # counted once per hypergraph: the Laplacian and the Perron block share them
+    assert degrees(g) is degrees(g)
 
 
 def part_of_each_edge(g, d):
