@@ -44,15 +44,16 @@ class Hypergraph:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"uniformity k must be an integer >= 2, got {self.k!r}")
-        edges = self.edges
-        # the kept tuple is allocated once, at its size: one grown by
-        # resizing made glibc keep a freed 7 MB `report` buffer
+        # via a list, so the kept tuple is allocated once at its size; one
+        # grown by resizing made glibc keep a freed 7 MB `report` buffer
         # (many-components benchmark, peak RSS 41 -> 48 MB in half the runs)
-        raw = tuple(edges if isinstance(edges, (tuple, list)) else list(edges))
-        # tuples already sorted, as the parser gives them, are kept as they are
-        edges = raw
+        raw = tuple(self.edges if isinstance(self.edges, (tuple, list)) else list(self.edges))
+        edges = raw  # kept when its tuples are sorted already, as the parser's are
         if not _valid(self.n, self.k, raw):
-            edges = _sorted(raw)
+            try:
+                edges = tuple(list(map(tuple, map(sorted, raw))))
+            except TypeError:  # an edge that is not iterable, or unorderable labels
+                edges = None
             if edges is None or not _valid(self.n, self.k, edges):
                 _raise_first_error(self.n, self.k, raw)
                 raise RuntimeError("internal error: bulk validation refused edges "
@@ -75,16 +76,6 @@ class Hypergraph:
     def vertices(self) -> range:
         """Labels 1..n in ascending order."""
         return range(1, self.n + 1)
-
-
-def _sorted(raw: tuple) -> tuple[Edge, ...] | None:
-    """Each edge of raw as a sorted tuple; None when one is not iterable or
-    its labels are unorderable."""
-    try:
-        # via a list, so the tuple is allocated once at its size
-        return tuple(list(map(tuple, map(sorted, raw))))
-    except TypeError:
-        return None
 
 
 def _valid(n: int, k: int, edges: tuple) -> bool:

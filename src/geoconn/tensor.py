@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DimensionError, NotNonnegative
 from .hypergraph import Edge, Hypergraph, check_components, connected_components, degrees
@@ -81,7 +81,7 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
     computed in O(k*m + n) per call. Each edge's products excluding one
     position are formed from prefix and suffix products, without division:
     column by column over the k member columns when there are at least k
-    edges, else edge by edge, so the lists made number O(k + m) either way.
+    edges, else edge by edge, so a call makes about 4*min(k, m) lists.
     Then every term is added to its entry edge by edge, so each entry sums
     its terms in edge order and float results do not depend on the branch.
     The arithmetic stays in the domain of the inputs, so integer or
@@ -97,7 +97,24 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
         return out
     xs.insert(0, 0)  # slot 0 is never read: labels are 1-based
     out.insert(0, 0)
-    rows = _terms_by_column(xs, edges, k) if len(edges) >= k else map(_terms, edges, repeat(xs))
+    if len(edges) >= k:
+        values = [list(map(xs.__getitem__, column)) for column in zip(*edges)]
+        # prefixes[p] = x_0 * ... * x_{p-1} and suffixes[p] = x_{k-1} * ... * x_{p+1}
+        # over each edge's members x_0..x_{k-1}, multiplied in that order
+        prefixes: list = [None] * k
+        prefixes[1] = values[0]
+        for p in range(2, k):
+            prefixes[p] = [a * b for a, b in zip(prefixes[p - 1], values[p - 1])]
+        suffixes: list = [None] * k
+        suffixes[k - 2] = values[k - 1]
+        for p in range(k - 3, -1, -1):
+            suffixes[p] = [a * b for a, b in zip(suffixes[p + 1], values[p + 1])]
+        terms = [suffixes[0]]
+        terms += ([a * b for a, b in zip(prefixes[p], suffixes[p])] for p in range(1, k - 1))
+        terms.append(prefixes[k - 1])
+        rows = zip(*terms)
+    else:  # fewer edges than members: k lists of m entries would be many short lists
+        rows = map(_terms, edges, repeat(xs))
     sign = view.sign
     for i, term in zip(chain.from_iterable(edges), chain.from_iterable(rows)):
         out[i] += sign * term
@@ -105,29 +122,10 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
     return out
 
 
-def _terms_by_column(xs: list, edges: tuple, k: int) -> Iterator[tuple]:
-    """The terms of every edge, one tuple per edge, formed column by column.
-    With x_0..x_{k-1} an edge's members, its term p is the product of all
-    but x_p: the prefix x_0 * ... * x_{p-1} times the suffix
-    x_{k-1} * ... * x_{p+1}, each multiplied in that order."""
-    values = [list(map(xs.__getitem__, column)) for column in zip(*edges)]
-    prefixes: list = [None] * k
-    prefixes[1] = values[0]
-    for p in range(2, k):
-        prefixes[p] = [a * b for a, b in zip(prefixes[p - 1], values[p - 1])]
-    suffixes: list = [None] * k
-    suffixes[k - 2] = values[k - 1]
-    for p in range(k - 3, -1, -1):
-        suffixes[p] = [a * b for a, b in zip(suffixes[p + 1], values[p + 1])]
-    terms = [suffixes[0]]
-    terms += ([a * b for a, b in zip(prefixes[p], suffixes[p])] for p in range(1, k - 1))
-    terms.append(prefixes[k - 1])
-    return zip(*terms)
-
-
 def _terms(edge: Edge, xs: list) -> list:
-    """The terms of one edge as ``_terms_by_column`` forms them, in the same
-    multiplication order, from the edge's own prefix and suffix products."""
+    """The k terms of one edge, each the product of all members but one,
+    from the edge's own prefix and suffix products in the order ``apply``
+    multiplies its columns."""
     values = list(map(xs.__getitem__, edge))
     # prefixes[p] = x_0 * ... * x_p and suffixes[p] = x_{k-1} * ... * x_{p+1}
     prefixes = list(accumulate(values[:-1], mul))
