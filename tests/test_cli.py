@@ -49,6 +49,9 @@ def test_parse_hypergraph_basic():
     g = parse_hypergraph("3 5 2\n1 2 3\n3 4 5\n")
     assert (g.k, g.n, g.m) == (3, 5, 2)
     assert g.edges == ((1, 2, 3), (3, 4, 5))
+    # each label is the one int object of its vertex, whichever line it is on
+    g = parse_hypergraph("3 1000 2\n700 300 500\n500 900 800\n")
+    assert g.edges == ((300, 500, 700), (500, 800, 900)) and g.edges[0][1] is g.edges[1][0]
 
 
 def test_parse_hypergraph_comments_blank_lines_and_crlf():
