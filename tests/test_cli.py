@@ -192,8 +192,8 @@ OTHER_WHITESPACE = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
 
 @pytest.mark.parametrize("char", OTHER_WHITESPACE)
 def test_other_whitespace_is_refused_on_its_line_and_allowed_in_comments(char, monkeypatch):
-    # with 12-character blocks the first block ends after line 3 and line 4
-    # starts the second; 1 puts every line in a block of its own
+    # with 12-character blocks the plain file's first block ends after line 3
+    # and line 4 starts the second; 1 puts every line in a block of its own
     lines = ["3 9 3", "1 2 3", "4 5 6", "7 8 9"]
     plain = parse_hypergraph("\n".join(lines) + "\n")
     message = f"fields must be separated by spaces and tabs, got {char!r}"
@@ -430,7 +430,7 @@ def linear_connected_file(n: int, m: int, seed: int) -> str:
 
 def test_check_of_100000_vertices_fits_in_112_megabytes(tmp_path):
     # parsed a block at a time into shared labels and rows sorted once, the
-    # ingest peaks near the size of the hypergraph; it needed 144 MB or more
+    # ingest peaks near the size of the hypergraph; it needed more than 144 MB
     path = write(tmp_path, "g.hg", linear_connected_file(100_000, 300_000, seed=19))
     done = run_in_address_space("check", path, limit=112 << 20)
     assert done.returncode == EXIT_OK, done.stderr
