@@ -33,12 +33,10 @@ Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, islice
 from math import inf, isfinite, nan
@@ -104,20 +102,43 @@ def _lines(text: str) -> Iterator[str]:
         yield from block.split("\n")
 
 
-def _content_lines(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, str]]:
-    """(line number, content) for each line whose content, its text before
-    any ``#`` stripped of spaces and tabs, is not empty, the lines numbered
-    from ``first``. Raises ParseError on a line whose content holds other
+def _content(line: str, number: int) -> str:
+    """The line's text before any ``#``, stripped of spaces and tabs.
+    Raises ParseError, on line ``number``, when that text holds other
     whitespace."""
+    content = line.split("#", 1)[0]
+    other = _NOT_SPACE_OR_TAB.search(content)
+    if other:
+        raise ParseError(f"fields must be separated by spaces and tabs, got {other[0]!r}",
+                         line=number)
+    return content.strip(" \t")
+
+
+def _content_lines(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, content) for each line whose ``_content`` is not
+    empty, the lines numbered from ``first``."""
     for number, line in enumerate(lines, start=first):
-        content = line.split("#", 1)[0]
-        other = _NOT_SPACE_OR_TAB.search(content)
-        if other:
-            raise ParseError(f"fields must be separated by spaces and tabs, got {other[0]!r}",
-                             line=number)
-        content = content.strip(" \t")
+        content = _content(line, number)
         if content:
             yield number, content
+
+
+def _header(blocks: Iterator[str]) -> tuple[int | None, str, str]:
+    """The number and content of the first line with content, and the text
+    after that line in its block; the lines up to it are read one at a
+    time, so no block is split. (None, "", "") when no line has content."""
+    number = 0
+    for block in blocks:
+        start = 0
+        while start <= len(block):
+            end = block.find("\n", start)
+            end = len(block) if end < 0 else end
+            number += 1
+            content = _content(block[start:end], number)
+            if content:
+                return number, content, block[end + 1:]
+            start = end + 1
+    return None, "", ""
 
 
 def _unsigned(line: str) -> tuple[int, ...] | None:
@@ -131,19 +152,17 @@ def _unsigned(line: str) -> tuple[int, ...] | None:
         return None
 
 
-def _edges(text: str, skip: int, k: int, n: int, m: int) -> list[Edge] | None:
-    """The edges on the lines of text after its first ``skip``, each a
-    sorted tuple of labels, or None unless every such line is blank, a
-    comment or k ASCII [0-9]+ fields separated by spaces and tabs, with m
-    lines of fields in all. Works a block at a time; the labels 1..n are
-    shared through one table, a label above n stays for construct to refuse."""
+def _edges(blocks: Iterable[str], k: int, n: int, m: int) -> list[Edge] | None:
+    """The edges on the lines of the blocks, each a sorted tuple of labels,
+    or None unless every line is blank, a comment or k ASCII [0-9]+ fields
+    separated by spaces and tabs, with m lines of fields in all. Works a
+    block at a time; the labels 1..n are shared through one table, a label
+    above n stays for construct to refuse."""
     table = list(range(n + 1))
     edges: list[Edge] = []
     rows_seen = 0
-    for block in _blocks(text):
+    for block in blocks:
         lines = block.split("\n")
-        if skip:
-            lines, skip = lines[skip:], max(skip - len(lines), 0)
         if "#" in block:
             lines = [line.split("#", 1)[0] for line in lines]
             content = "".join(lines)
@@ -169,22 +188,6 @@ def _edges(text: str, skip: int, k: int, n: int, m: int) -> list[Edge] | None:
     return edges if rows_seen == m else None
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """The cyclic garbage collector paused, then restored as it was. The
-    ingest makes a tuple per edge and no reference cycle, and each full
-    collection it set off walked the whole edge list: parse and construct
-    took 5.1 s with collections and 4.1 s without at the vertex cap
-    (n = 10^6, m = 3*10^6), 16.5 and 15.5 ms at n = 5,000, m = 15,000."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the ``k n m`` + edge-lines format. Raises ParseError with the
     offending 1-based line number, or the underlying edge validation error
@@ -196,7 +199,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     line count or the first bad token. ``construct`` then validates all
     edges once, and its EdgeError is reported on the line of the edge it
     names."""
-    header_line, header = next(_content_lines(_lines(text)), (None, ""))
+    blocks = _blocks(text)
+    header_line, header, rest = _header(blocks)
     if header_line is None:
         raise ParseError("empty input, expected a 'k n m' header", line=None)
     numbers = _unsigned(header)
@@ -217,23 +221,22 @@ def parse_hypergraph(text: str) -> Hypergraph:
     def body() -> Iterator[tuple[int, str]]:
         return _content_lines(islice(_lines(text), header_line, None), header_line + 1)
 
-    with _collector_paused():
-        edges = _edges(text, header_line, k, n, m)
-        if edges is None:
-            count = sum(1 for _ in body())
-            if count != m:
-                raise ParseError(f"header promises {m} edges, file has {count}",
-                                 line=header_line)
-            for line_number, line in body():
-                if _unsigned(line) is None:
-                    raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
-                                     line=line_number)
-        rows = (_unsigned(line) for _, line in body()) if edges is None else edges
-        try:
-            g = construct(n, k, rows)
-        except EdgeError as exc:
-            line_number, _ = next(islice(body(), exc.edge_index, None))
-            raise ParseError(str(exc), line=line_number) from exc
+    edges = _edges(chain([rest], blocks), k, n, m)
+    if edges is None:
+        count = sum(1 for _ in body())
+        if count != m:
+            raise ParseError(f"header promises {m} edges, file has {count}",
+                             line=header_line)
+        for line_number, line in body():
+            if _unsigned(line) is None:
+                raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
+                                 line=line_number)
+    rows = (_unsigned(line) for _, line in body()) if edges is None else edges
+    try:
+        g = construct(n, k, rows)
+    except EdgeError as exc:
+        line_number, _ = next(islice(body(), exc.edge_index, None))
+        raise ParseError(str(exc), line=line_number) from exc
     if edges is None:
         raise RuntimeError("internal error: the bulk parse refused a file "
                            "in which the line-by-line re-scan finds no fault")

@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
@@ -90,18 +90,12 @@ def _valid(n: int, k: int, edges: tuple) -> bool:
                for t in set(map(type, chain.from_iterable(edges)))):
         return False
     # each label below the next within every edge, so its members are
-    # distinct and its first and last are its extremes; checked column by
-    # column, or edge by edge when there are fewer edges than members
-    if len(edges) >= k:
-        columns = [list(map(itemgetter(p), edges)) for p in range(k)]
-        if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
-            return False
-        least, most = min(columns[0]), max(columns[-1])
-        del columns  # before the duplicate set is built
-    else:
-        if not all(all(map(lt, edge, islice(edge, 1, None))) for edge in edges):
-            return False
-        least, most = min(map(itemgetter(0), edges)), max(map(itemgetter(-1), edges))
+    # distinct and its first and last are its extremes
+    columns = [list(map(itemgetter(p), edges)) for p in range(k)]
+    if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
+        return False
+    least, most = min(columns[0]), max(columns[-1])
+    del columns  # before the duplicate set is built
     return least >= 1 and most <= n and len(set(edges)) == len(edges)
 
 
