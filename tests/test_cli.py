@@ -1,5 +1,6 @@
 """File formats, argument handling and exit codes of the command line."""
 
+import gc
 import json
 import os
 import random
@@ -183,6 +184,27 @@ def test_parse_hypergraph_validates_edges_once(monkeypatch):
         except ParseError:
             pass
         assert calls == [5], text
+
+
+def test_the_cli_pauses_the_collector_while_it_parses(tmp_path, monkeypatch):
+    seen = []
+
+    def parse(text):
+        seen.append(gc.isenabled())
+        return parse_hypergraph(text)
+
+    monkeypatch.setattr("geoconn.cli.parse_hypergraph", parse)
+    good = write(tmp_path, "good.hg", "3 5 2\n1 2 3\n3 4 5\n")
+    bad = write(tmp_path, "bad.hg", "3 5 2\n1 2 3\n3 4 x\n")
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for path, code in ((good, EXIT_OK), (bad, EXIT_INPUT)):
+                assert run(["check", path]) == code
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
 
 
 # whitespace that str.split() and str.splitlines() take but the format does not
