@@ -9,8 +9,8 @@ whitespace, such as a form feed or a no-break space, is refused on its
 line.  Blank lines and comments are ignored.  The text is read in blocks
 of about ``BLOCK_CHARS`` characters cut at a line end, each into sorted
 label tuples; the labels 1..n are shared, one int object each.  Only a file
-with a wrong character, line count, field count or token is read again
-line by line, with the same line splitter, to name the line of that fault.
+with a wrong character, line count or token is read again line by line,
+with the same line splitter, to name the line of that fault.
 ``construct`` validates the edges once, and the line of the edge its error
 names is found by counting.  Vector files hold one or more numbers per
 line, as integers, rationals ``p/q`` or finite decimals, under the same
@@ -154,11 +154,11 @@ def _unsigned(line: str) -> tuple[int, ...] | None:
 
 
 def _edges(blocks: Iterable[str], k: int, n: int, m: int) -> list[Edge] | None:
-    """The edges on the lines of the blocks, each a sorted tuple of labels,
-    or None unless every line is blank, a comment or k ASCII [0-9]+ fields
-    separated by spaces and tabs, with m lines of fields in all. Works a
-    block at a time; the labels 1..n are shared through one table, a label
-    above n stays for construct to refuse."""
+    """The sorted tuple of the labels on each line of the blocks, or None
+    unless every line is blank, a comment or ASCII [0-9]+ fields separated
+    by spaces and tabs, m lines of fields in all. Works a block at a time;
+    the labels 1..n are shared through one table. A row of other than k
+    labels, or with a label outside 1..n, stays for construct to refuse."""
     table = list(range(n + 1))
     edges: list[Edge] = []
     rows_seen = 0
@@ -173,9 +173,7 @@ def _edges(blocks: Iterable[str], k: int, n: int, m: int) -> list[Edge] | None:
             return None
         rows = list(filter(None, map(str.split, lines)))
         rows_seen += len(rows)
-        if not rows:
-            continue
-        if rows_seen > m or set(map(len, rows)) != {k}:
+        if rows_seen > m:
             return None
         try:  # a field that is not [0-9]+, or longer than sys.int_max_str_digits
             labels = list(map(int, chain.from_iterable(rows)))
@@ -185,7 +183,13 @@ def _edges(blocks: Iterable[str], k: int, n: int, m: int) -> list[Edge] | None:
             labels = list(map(table.__getitem__, labels))
         except IndexError:
             labels = [table[v] if v <= n else v for v in labels]
-        edges += map(tuple, map(sorted, zip(*[iter(labels)] * k)))
+        # labels lives on until the next block's list; freed here, connected ran 0.5 % slower
+        groups = iter(labels)
+        if set(map(len, rows)) <= {k}:
+            groups = zip(*[groups] * k)
+        else:  # grouped per row: 4.0 ms per 15,000 rows, against 2.4 ms by zip
+            groups = [islice(groups, len(row)) for row in rows]
+        edges += map(tuple, map(sorted, groups))
     return edges if rows_seen == m else None
 
 
@@ -195,11 +199,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
     wrapped with its line.
 
     The edge lines are read in blocks of about BLOCK_CHARS characters into
-    sorted label tuples (``_edges``). Only when a block cannot be read so
-    are the lines read one at a time, to name a bad character, a wrong
-    line count or the first bad token. ``construct`` then validates all
-    edges once, and its EdgeError is reported on the line of the edge it
-    names."""
+    sorted label tuples (``_edges``), which ``construct`` validates once;
+    its EdgeError is reported on the line of the edge it names. Only when a
+    block cannot be read so are the lines read one at a time, to name a bad
+    character, a wrong line count or the first bad token."""
     blocks = _blocks(text)
     header_line, header, rest = _header(blocks)
     if header_line is None:
@@ -224,24 +227,22 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
     edges = _edges(chain([rest], blocks), k, n, m)
     if edges is None:
-        count = sum(1 for _ in body())
-        if count != m:
-            raise ParseError(f"header promises {m} edges, file has {count}",
-                             line=header_line)
+        # a bad character raises as it is read, then the count, then the token
+        count, bad = 0, None
         for line_number, line in body():
-            if _unsigned(line) is None:
-                raise ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
+            count += 1
+            if bad is None and _unsigned(line) is None:
+                bad = ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
                                  line=line_number)
-    rows = (_unsigned(line) for _, line in body()) if edges is None else edges
+        if count != m:
+            raise ParseError(f"header promises {m} edges, file has {count}", line=header_line)
+        raise bad or RuntimeError("internal error: the bulk parse refused a file "
+                                  "in which the line-by-line re-scan finds no fault")
     try:
-        g = construct(n, k, rows)
+        return construct(n, k, edges)
     except EdgeError as exc:
         line_number, _ = next(islice(body(), exc.edge_index, None))
         raise ParseError(str(exc), line=line_number) from exc
-    if edges is None:
-        raise RuntimeError("internal error: the bulk parse refused a file "
-                           "in which the line-by-line re-scan finds no fault")
-    return g
 
 
 def parse_scalar(token: str) -> Number:

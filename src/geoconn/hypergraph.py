@@ -47,17 +47,9 @@ class Hypergraph:
         # via a list, so the kept tuple is allocated once at its size; one
         # grown by resizing made glibc keep a freed 7 MB `report` buffer
         # (many-components benchmark, peak RSS 41 -> 48 MB in half the runs)
-        raw = tuple(self.edges if isinstance(self.edges, (tuple, list)) else list(self.edges))
-        edges = raw  # kept when its tuples are sorted already, as the parser's are
-        if not _valid(self.n, self.k, raw):
-            try:
-                edges = tuple(list(map(tuple, map(sorted, raw))))
-            except TypeError:  # an edge that is not iterable, or unorderable labels
-                edges = None
-            if edges is None or not _valid(self.n, self.k, edges):
-                _raise_first_error(self.n, self.k, raw)
-                raise RuntimeError("internal error: bulk validation refused edges "
-                                   "that the per-edge re-scan accepts")
+        edges = tuple(self.edges if isinstance(self.edges, (tuple, list)) else list(self.edges))
+        if not _valid(self.n, self.k, edges):  # kept as it is, as the parser's rows are
+            edges = _checked(self.n, self.k, edges)
         object.__setattr__(self, "edges", edges)
 
     @cached_property
@@ -80,8 +72,9 @@ class Hypergraph:
 
 def _valid(n: int, k: int, edges: tuple) -> bool:
     """Whether edges are tuples of k increasing int labels in 1..n, no two
-    alike: every check of ``_raise_first_error`` on sorted edges, decided by
-    C-level passes over the labels instead of a loop per label."""
+    alike: every check of ``_checked``, decided by C-level passes over the
+    labels instead of a loop per label. Edges it refuses, unsorted ones
+    too, go to ``_checked``."""
     if not edges:
         return True
     if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {k}:
@@ -99,10 +92,13 @@ def _valid(n: int, k: int, edges: tuple) -> bool:
     return least >= 1 and most <= n and len(set(edges)) == len(edges)
 
 
-def _raise_first_error(n: int, k: int, raw_edges) -> None:
-    """Raise the error of the first invalid edge, checked one edge at a
-    time; return when every edge is valid."""
+def _checked(n: int, k: int, raw_edges: tuple) -> tuple[Edge, ...]:
+    """The edges as sorted tuples, checked one edge at a time; raises the
+    error of the first invalid edge. A sorted tuple is kept, so the edge and
+    its entry in the duplicate set are one object, and the result is
+    allocated once, at its size, from a list."""
     seen: set[Edge] = set()
+    edges: list[Edge] = []
     for idx, raw in enumerate(raw_edges):
         members = tuple(raw)
         if len(set(members)) != len(members):
@@ -112,10 +108,12 @@ def _raise_first_error(n: int, k: int, raw_edges) -> None:
         for v in members:
             if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
                 raise LabelOutOfRange(f"edge {idx}: vertex label {v!r} outside 1..{n}", idx)
-        edge = tuple(sorted(members))
+        edge = members if all(map(lt, members, members[1:])) else tuple(sorted(members))
         if edge in seen:
             raise DuplicateEdge(f"edge {idx} duplicates an earlier edge: {list(edge)}", idx)
         seen.add(edge)
+        edges.append(edge)
+    return tuple(edges)
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ def construct(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     when the edge list is invalid; the exception records the offending edge
     index.
     """
-    return Hypergraph(n, k, list(map(tuple, edges)))
+    return Hypergraph(n, k, edges)
 
 
 def degrees(g: Hypergraph) -> tuple[int, ...]:

@@ -4,10 +4,13 @@ BFS decomposition or its checker. Weak irreducibility is checked the way
 it is defined: ``support_digraph_of`` builds the support digraph of
 materialized tensor entries and ``strongly_connected_components``
 (iterative Tarjan) splits it; the library itself only runs a
-breadth-first search."""
+breadth-first search. ``parse_hypergraph_reference`` reads a hypergraph
+file by the README's rules, one line and one edge at a time."""
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import cos, factorial, pi
@@ -262,3 +265,73 @@ def rational_nullity(matrix: list[list[Fraction]]) -> int:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return n_cols - rank
+
+
+def parse_hypergraph_reference(text: str):
+    """A hypergraph file read by the README's rules, one line at a time:
+    (n, k, edges) with each edge's labels sorted, or (line, message) for
+    the fault the format names first, line None when there is no header.
+
+    A line ends at LF, CRLF or CR. Its content is the text before any
+    ``#``; whitespace in it other than spaces and tabs is a fault on its
+    line, and the lines are read in order up to such a fault. The first
+    line with content is the header, three ASCII [0-9]+ fields with
+    2 <= k <= n <= 1,000,000. Then a wrong number of edge lines is a fault
+    on the header line, then the first field that is not ASCII [0-9]+, or
+    longer than int() reads, is one on its line. Then the first faulty
+    edge is named on its line: a repeated vertex, then other than k
+    labels, then the first label outside 1..n, then a duplicate of an
+    earlier edge, its members listed sorted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    def unsigned(field: str) -> bool:
+        return (all("0" <= c <= "9" for c in field) and field != ""
+                and not (limit and len(field) > limit))
+
+    header_line = None
+    body = []  # (line number, content, fields) of each edge line
+    for number, line in enumerate(re.split("\r\n|\r|\n", text), start=1):
+        content = line.split("#", 1)[0]
+        for c in content:
+            if c.isspace() and c not in " \t":
+                return number, f"fields must be separated by spaces and tabs, got {c!r}"
+        fields = [field for field in re.split("[ \t]+", content) if field]
+        content = content.strip(" \t")
+        if not fields:
+            continue
+        if header_line is not None:
+            body.append((number, content, fields))
+            continue
+        header_line = number
+        if len(fields) != 3 or not all(map(unsigned, fields)):
+            return number, ("header must be 'k n m', three unsigned integers, "
+                            f"got {content!r}")
+        k, n, m = map(int, fields)
+        if k < 2:
+            return number, f"uniformity k must be at least 2, got {k}"
+        if n > 1_000_000:
+            return number, f"vertex count n must be at most 1000000, got {n}"
+        if k > n:
+            return number, f"uniformity k must be at most n = {n}, got {k}"
+    if header_line is None:
+        return None, "empty input, expected a 'k n m' header"
+    if len(body) != m:
+        return header_line, f"header promises {m} edges, file has {len(body)}"
+    for number, content, fields in body:
+        if not all(map(unsigned, fields)):
+            return number, f"edge line must hold unsigned integer labels, got {content!r}"
+    edges, seen = [], set()
+    for index, (number, _, fields) in enumerate(body):
+        edge = tuple(sorted(map(int, fields)))
+        if len(set(edge)) < len(edge):
+            return number, f"edge {index} has a repeated vertex: {list(edge)}"
+        if len(edge) != k:
+            return number, f"edge {index} has {len(edge)} vertices, expected k={k}"
+        for v in edge:
+            if not 1 <= v <= n:
+                return number, f"edge {index}: vertex label {v} outside 1..{n}"
+        if edge in seen:
+            return number, f"edge {index} duplicates an earlier edge: {list(edge)}"
+        seen.add(edge)
+        edges.append(edge)
+    return n, k, edges

@@ -161,7 +161,14 @@ def test_parse_hypergraph_reports_the_first_fault_of_several():
             ("3 10 2\n4 5\n1 2 11\n", WrongUniformity, 2,
              "edge 0 has 2 vertices, expected k=3"),
             ("3 10 2\n1 2 3\n1 1\n", MalformedEdge, 3,
-             "edge 1 has a repeated vertex: [1, 1]")):
+             "edge 1 has a repeated vertex: [1, 1]"),
+            # a line of other than k labels elsewhere leaves the message as
+            # it is: the members are listed sorted, and the first outside
+            # 1..n in that order is named
+            ("3 10 2\n3 2 3\n4 5\n", MalformedEdge, 2,
+             "edge 0 has a repeated vertex: [2, 3, 3]"),
+            ("3 10 2\n12 11 1\n4 5\n", LabelOutOfRange, 2,
+             "edge 0: vertex label 11 outside 1..10")):
         with pytest.raises(ParseError) as err:
             parse_hypergraph(text)
         assert type(err.value.__cause__) is error
@@ -457,6 +464,21 @@ def test_check_of_100000_vertices_fits_in_112_megabytes(tmp_path):
     done = run_in_address_space("check", path, limit=112 << 20)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[-1] == "beta = 1 = components"
+
+
+def test_a_refused_file_of_100000_vertices_fits_where_the_accepted_one_does(tmp_path):
+    # a fault on the last line is named from the rows of the block-wise
+    # read; reading the file again into rows of its own ran out of memory
+    text = linear_connected_file(100_000, 300_000, seed=19)
+    head, last = text[:-1].rsplit("\n", 1)
+    for bad, message in (
+            (last.rsplit(" ", 1)[0], "edge 299999 has 2 vertices, expected k=3"),
+            (f"{last.rsplit(' ', 1)[0]} 100001",
+             "edge 299999: vertex label 100001 outside 1..100000")):
+        path = write(tmp_path, "g.hg", f"{head}\n{bad}\n")
+        done = run_in_address_space("check", path, limit=112 << 20)
+        assert done.returncode == EXIT_INPUT, done.stderr
+        assert done.stderr == f"geoconn: error: {path}:300001: {message}\n"
 
 
 def test_padded_output_is_written_in_256_megabytes(tmp_path):

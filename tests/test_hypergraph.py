@@ -36,6 +36,9 @@ def test_construct_keeps_sorted_tuples_and_sorts_the_rest():
         g = construct(5, 3, unsorted)
         assert g.edges == ((1, 2, 3), (2, 4, 5)) and type(g.edges) is tuple
         assert set(map(type, g.edges)) == {tuple}
+    # checked edge by edge, a row that is sorted already is kept too
+    rows = [(1, 2, 3), (5, 4, 2)]
+    assert construct(5, 3, rows).edges[0] is rows[0]
 
 
 def test_construct_rejects_repeated_vertex():

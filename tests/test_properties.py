@@ -1,7 +1,8 @@
 """Property tests on small random inputs: the eigenpair checker against a
 brute-force contraction, the contraction kernel against the per-edge
 kernel bit for bit, the file format round trip, the rejection of
-perturbed component indicators, and the JSON and text renderers against
+perturbed component indicators, the parser against a reference reader
+on mutated files, and the JSON and text renderers against
 ``json.dumps(indent=2)`` and ``", ".join`` of the expanded vectors. Runs
 are derandomized and keep no example database, so they are repeatable."""
 
@@ -25,6 +26,7 @@ from geoconn import (
     verify_h_eigenpair,
     verify_z_eigenpair,
 )
+from geoconn import cli
 from geoconn.cli import _decimal, _json, _Padded, parse_hypergraph
 
 from oracles import (
@@ -32,6 +34,7 @@ from oracles import (
     dense_apply,
     edge_by_edge_apply,
     laplacian_entries,
+    parse_hypergraph_reference,
     shifted_laplacian_entries,
 )
 
@@ -164,6 +167,65 @@ def test_written_hypergraph_parses_back(data):
         assert err.value.line == header_line
     else:
         assert parse_hypergraph(text) == g
+
+
+# each takes (token, the tokens of its line, n) to the tokens that replace it
+TOKEN_MUTATIONS = {
+    "sign": lambda token, line, n: ["+" + token, "-" + token],
+    "underscore": lambda token, line, n: [token[:1] + "_" + token[1:]],
+    "non-ASCII digit": lambda token, line, n: ["\u0663", "\uff14", token + "\u0661"],
+    "5,000 digits": lambda token, line, n: ["1" * 5000],
+    "zero": lambda token, line, n: ["0"],
+    "n + 1": lambda token, line, n: [str(n + 1)],
+    "repeated label": lambda token, line, n: [other for other in line if other != token],
+    "dropped": lambda token, line, n: [""],
+    "inserted": lambda token, line, n: [f"{v} {token}" for v in range(1, n + 2)],
+    "NBSP": lambda token, line, n: ["\xa0" + token],
+    "FF": lambda token, line, n: ["\x0c" + token],
+    "NEL": lambda token, line, n: ["\x85" + token],
+    "lone CR": lambda token, line, n: ["\r" + token],
+    "BOM": lambda token, line, n: ["\ufeff" + token],
+    "#": lambda token, line, n: ["#" + token, "# " + token],
+}
+
+
+@st.composite
+def mutated_files(draw):
+    """A small valid hypergraph file, its edges written in random member
+    order among blank and comment lines, with one to three tokens replaced
+    by a mutation of TOKEN_MUTATIONS."""
+    g = draw(hypergraphs().filter(lambda g: g.m > 0))
+    lines = [[str(g.k), str(g.n), str(g.m)]]
+    lines += [list(map(str, draw(st.permutations(edge)))) for edge in g.edges]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[row]) - 1))
+        mutation = TOKEN_MUTATIONS[draw(st.sampled_from(sorted(TOKEN_MUTATIONS)))]
+        choices = mutation(lines[row][at], lines[row], g.n)
+        if choices:
+            lines[row][at] = draw(st.sampled_from(choices))
+    text = [" ".join(filter(None, line)) for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", "# 1 2"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(text)
+
+
+@PROPERTY
+@given(mutated_files())
+def test_parse_hypergraph_agrees_with_the_reference_reader(text):
+    expected = parse_hypergraph_reference(text)
+    default = cli.BLOCK_CHARS
+    try:
+        for size in (1, 7, default):
+            cli.BLOCK_CHARS = size
+            try:
+                g = parse_hypergraph(text)
+            except ParseError as err:
+                assert (err.line, str(err)) == expected, size
+            else:
+                assert (g.n, g.k, list(g.edges)) == expected, size
+    finally:
+        cli.BLOCK_CHARS = default
 
 
 @PROPERTY
