@@ -94,13 +94,17 @@ def _valid(n: int, k: int, edges: tuple) -> bool:
 
 def _checked(n: int, k: int, raw_edges: tuple) -> tuple[Edge, ...]:
     """The edges as sorted tuples, checked one edge at a time; raises the
-    error of the first invalid edge. A sorted tuple is kept, so the edge and
-    its entry in the duplicate set are one object, and the result is
-    allocated once, at its size, from a list."""
+    error of the first invalid edge, its members sorted when they sort. A
+    sorted tuple is kept, so the edge and its entry in the duplicate set are
+    one object, and the result is allocated once, at its size, from a list."""
     seen: set[Edge] = set()
     edges: list[Edge] = []
     for idx, raw in enumerate(raw_edges):
         members = tuple(raw)
+        try:  # checked and worded as the command line lists them
+            members = members if all(map(lt, members, members[1:])) else tuple(sorted(members))
+        except TypeError:  # members that do not sort keep the caller's order
+            pass
         if len(set(members)) != len(members):
             raise MalformedEdge(f"edge {idx} has a repeated vertex: {list(members)}", idx)
         if len(members) != k:
@@ -108,11 +112,10 @@ def _checked(n: int, k: int, raw_edges: tuple) -> tuple[Edge, ...]:
         for v in members:
             if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
                 raise LabelOutOfRange(f"edge {idx}: vertex label {v!r} outside 1..{n}", idx)
-        edge = members if all(map(lt, members, members[1:])) else tuple(sorted(members))
-        if edge in seen:
-            raise DuplicateEdge(f"edge {idx} duplicates an earlier edge: {list(edge)}", idx)
-        seen.add(edge)
-        edges.append(edge)
+        if members in seen:
+            raise DuplicateEdge(f"edge {idx} duplicates an earlier edge: {list(members)}", idx)
+        seen.add(members)
+        edges.append(members)
     return tuple(edges)
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import mul
 from typing import Sequence, Union
 
 from .errors import DimensionError, NotNonnegative
-from .hypergraph import Edge, Hypergraph, check_components, connected_components, degrees
+from .hypergraph import Hypergraph, check_components, connected_components, degrees
 
 Number = Union[int, float, Fraction]
 
@@ -73,17 +73,23 @@ def shifted_laplacian(g: Hypergraph) -> HypergraphView:
     return HypergraphView(g, tuple(shift - d for d in degs), 1)
 
 
+# edges contracted at a time, so that the kernel's member columns and
+# partial products stay small however many edges there are
+SLICE_EDGES = 1 << 16
+
+
 def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
     """Contract the tensor against a vector: returns T x^{k-1}, whose entry i is
 
         c_i * x_i^{k-1} + sign * sum_{e containing i} prod_{j in e, j != i} x_j
 
-    computed in O(k*m + n) per call. Each edge's products excluding one
-    position are formed from prefix and suffix products, without division:
-    column by column over the k member columns when there are at least k
-    edges, else edge by edge, so a call makes about 4*min(k, m) lists.
-    Then every term is added to its entry edge by edge, so each entry sums
-    its terms in edge order and float results do not depend on the branch.
+    computed in O(k*m + n) per call. The edges are walked in slices of
+    SLICE_EDGES, and each edge's products excluding one member come from
+    ``_leave_one_out``: over a slice's k member columns when it holds at
+    least k edges, else edge by edge, so a call holds about 4*k lists of at
+    most SLICE_EDGES entries. Both layouts multiply in the same order, and
+    every term is added to its entry edge by edge, so each entry sums its
+    terms in edge order and float results do not depend on the slicing.
     The arithmetic stays in the domain of the inputs, so integer or
     Fraction vectors give exact integers or Fractions back.
     """
@@ -93,44 +99,34 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
     k = view.graph.k
     out = [c * (v ** (k - 1)) for c, v in zip(view.diagonal, xs)]
     edges = view.graph.edges
-    if not edges:
-        return out
     xs.insert(0, 0)  # slot 0 is never read: labels are 1-based
     out.insert(0, 0)
-    if len(edges) >= k:
-        values = [list(map(xs.__getitem__, column)) for column in zip(*edges)]
-        # prefixes[p] = x_0 * ... * x_{p-1} and suffixes[p] = x_{k-1} * ... * x_{p+1}
-        # over each edge's members x_0..x_{k-1}, multiplied in that order
-        prefixes: list = [None] * k
-        prefixes[1] = values[0]
-        for p in range(2, k):
-            prefixes[p] = [a * b for a, b in zip(prefixes[p - 1], values[p - 1])]
-        suffixes: list = [None] * k
-        suffixes[k - 2] = values[k - 1]
-        for p in range(k - 3, -1, -1):
-            suffixes[p] = [a * b for a, b in zip(suffixes[p + 1], values[p + 1])]
-        terms = [suffixes[0]]
-        terms += ([a * b for a, b in zip(prefixes[p], suffixes[p])] for p in range(1, k - 1))
-        terms.append(prefixes[k - 1])
-        rows = zip(*terms)
-    else:  # fewer edges than members: k lists of m entries would be many short lists
-        rows = map(_terms, edges, repeat(xs))
     sign = view.sign
-    for i, term in zip(chain.from_iterable(edges), chain.from_iterable(rows)):
-        out[i] += sign * term
+    for start in range(0, len(edges), SLICE_EDGES):
+        part = edges[start:start + SLICE_EDGES]
+        if len(part) >= k:
+            columns = [list(map(xs.__getitem__, column)) for column in zip(*part)]
+            rows = zip(*_leave_one_out(columns, _times))
+        else:  # fewer edges than members: k columns would be many short lists
+            rows = (_leave_one_out(list(map(xs.__getitem__, edge)), mul) for edge in part)
+        for i, term in zip(chain.from_iterable(part), chain.from_iterable(rows)):
+            out[i] += sign * term
     del out[0]
     return out
 
 
-def _terms(edge: Edge, xs: list) -> list:
-    """The k terms of one edge, each the product of all members but one,
-    from the edge's own prefix and suffix products in the order ``apply``
-    multiplies its columns."""
-    values = list(map(xs.__getitem__, edge))
-    # prefixes[p] = x_0 * ... * x_p and suffixes[p] = x_{k-1} * ... * x_{p+1}
-    prefixes = list(accumulate(values[:-1], mul))
-    suffixes = list(accumulate(reversed(values[1:]), mul))[::-1]
-    return [suffixes[0], *map(mul, prefixes, suffixes[1:]), prefixes[-1]]
+def _times(a: list, b: list) -> list:
+    """The entrywise product of two columns."""
+    return list(map(mul, a, b))
+
+
+def _leave_one_out(values: list, times) -> list:
+    """For each position p of values, the product by ``times`` of all the
+    others: (v_0 * ... * v_{p-1}) * (v_{k-1} * ... * v_{p+1}), each run
+    multiplied in that order, without division."""
+    prefixes = list(accumulate(values[:-1], times))  # prefixes[p] = v_0 * ... * v_p
+    suffixes = list(accumulate(reversed(values[1:]), times))[::-1]  # v_{k-1} * ... * v_{p+1}
+    return [suffixes[0], *map(times, prefixes, suffixes[1:]), prefixes[-1]]
 
 
 def _require_nonnegative(view: HypergraphView) -> None:

@@ -25,6 +25,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -205,7 +206,6 @@ def main(argv: list[str]) -> int:
     if argv != ["--write"]:
         print("usage: PYTHONPATH=src python tests/corpus.py --write", file=sys.stderr)
         return 2
-    import tempfile
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)

@@ -9,12 +9,14 @@ from geoconn import (
     InvalidSubset,
     LabelOutOfRange,
     MalformedEdge,
+    ParseError,
     WrongUniformity,
     connected_components,
     construct,
     degrees,
     induced,
 )
+from geoconn.cli import parse_hypergraph
 
 from generators import random_hypergraph
 from oracles import spanning_forest_holds, union_find_parts
@@ -65,6 +67,23 @@ def test_construct_rejects_label_out_of_range():
         with pytest.raises(LabelOutOfRange) as err:
             construct(4, 3, [(1, 2, 4), edge])
         assert err.value.edge_index == 1
+
+
+def test_construct_words_a_fault_as_the_command_line_does():
+    # members are sorted before the checks, as the parser's rows are,
+    # so the library and the command line name the same members and label
+    cases = [((3, 2, 3), MalformedEdge, "edge 0 has a repeated vertex: [2, 3, 3]"),
+             ((99, 0, 5), LabelOutOfRange, "edge 0: vertex label 0 outside 1..10")]
+    for edge, error, message in cases:
+        with pytest.raises(error) as err:
+            construct(10, 3, [edge])
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(f"3 10 1\n{' '.join(map(str, edge))}\n")
+        assert str(err.value) == message
+    # members that do not sort keep the caller's order
+    with pytest.raises(MalformedEdge, match=r"repeated vertex: \[3, '2', 3\]$"):
+        construct(10, 3, [(3, "2", 3)])
 
 
 def test_construct_reports_the_earliest_faulty_edge():

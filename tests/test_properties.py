@@ -26,7 +26,7 @@ from geoconn import (
     verify_h_eigenpair,
     verify_z_eigenpair,
 )
-from geoconn import cli
+from geoconn import cli, tensor
 from geoconn.cli import _decimal, _json, _Padded, parse_hypergraph
 
 from oracles import (
@@ -127,19 +127,28 @@ def test_apply_on_wide_edges_matches_the_edge_by_edge_kernel_bit_for_bit(data):
 
 
 def assert_apply_matches_edge_by_edge(g, x, kind):
-    for factory in (adjacency, laplacian, shifted_laplacian):
-        view = factory(g)
-        try:
-            want = edge_by_edge_apply(view, x)
-        except OverflowError:  # float x_i ** (k - 1) beyond the float range
-            with pytest.raises(OverflowError):
-                apply(view, x)
-            continue
-        got = apply(view, x)
-        # repr tells floats apart by every bit, -0.0 from 0.0 too, and
-        # names Fractions; nan (from inf - inf) reprs as itself
-        assert list(map(type, got)) == list(map(type, want)), (factory.__name__, kind)
-        assert list(map(repr, got)) == list(map(repr, want)), (factory.__name__, kind)
+    # slices of 1, 2 and 3 edges put a slice boundary inside the call, and
+    # a slice shorter than k goes edge by edge while a longer one by columns
+    default = tensor.SLICE_EDGES
+    try:
+        for size in (default, 1, 2, 3):
+            tensor.SLICE_EDGES = size
+            for factory in (adjacency, laplacian, shifted_laplacian):
+                view = factory(g)
+                try:
+                    want = edge_by_edge_apply(view, x)
+                except OverflowError:  # float x_i ** (k - 1) beyond the float range
+                    with pytest.raises(OverflowError):
+                        apply(view, x)
+                    continue
+                got = apply(view, x)
+                # repr tells floats apart by every bit, -0.0 from 0.0 too, and
+                # names Fractions; nan (from inf - inf) reprs as itself
+                where = (factory.__name__, kind, size)
+                assert list(map(type, got)) == list(map(type, want)), where
+                assert list(map(repr, got)) == list(map(repr, want)), where
+    finally:
+        tensor.SLICE_EDGES = default
 
 
 noise = st.lists(st.sampled_from(["", "   ", "# comment", "\t# 1 2 3"]), max_size=2)

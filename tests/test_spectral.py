@@ -250,6 +250,32 @@ def test_perron_reports_bracket_on_iteration_cap(monkeypatch):
     assert any(zero_grams)
 
 
+def test_perron_refuses_a_converged_pair_that_fails_verification(monkeypatch, tmp_path,
+                                                                  capsys):
+    # the 10*tol check of the converged pair is a certificate too: once it
+    # rejects, perron raises with the final bracket instead of returning
+    g = loose_path(5)
+    result = perron(adjacency(g))
+    verify = spectral.verify_h_eigenpair
+
+    def rejected(view, eigenvalue, x, tol):
+        return replace(verify(view, eigenvalue, x, tol), residual=0.5, accepted=False)
+
+    monkeypatch.setattr(spectral, "verify_h_eigenpair", rejected)
+    with pytest.raises(NoConvergence, match=r"failed verification \(residual 0\.5\)") as err:
+        perron(adjacency(g))
+    assert err.value.iterations == result.iterations
+    assert err.value.lower <= result.rho <= err.value.upper
+    assert 0 <= err.value.upper - err.value.lower < PERRON_TOL
+    path = tmp_path / "g.hg"
+    path.write_text("3 11 5\n" + "".join(f"{u} {u + 1} {u + 2}\n" for u in range(1, 11, 2)))
+    assert run(["perron", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("geoconn: error: converged ratios failed verification")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("length, k",
                          [(5, 3), (20, 3), (80, 3), (160, 3), (99, 2), (4, 120)])
 def test_perron_loose_path_closed_form(length, k):

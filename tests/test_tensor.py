@@ -18,12 +18,13 @@ from geoconn import (
     shifted_laplacian,
     support_digraph,
 )
-from geoconn.tensor import HypergraphView
+from geoconn.tensor import SLICE_EDGES, HypergraphView
 
 from generators import connected_hypergraph, random_hypergraph
 from oracles import (
     adjacency_entries,
     dense_apply,
+    edge_by_edge_apply,
     laplacian_entries,
     shifted_laplacian_entries,
     strongly_connected,
@@ -70,6 +71,23 @@ def test_implicit_matches_dense_oracle_exactly():
         x = random_exact_vector(rng, g.n)
         assert apply(adjacency(g), x) == dense_apply(adjacency_entries(g), g.n, x)
         assert apply(laplacian(g), x) == dense_apply(laplacian_entries(g), g.n, x)
+
+
+def test_apply_sums_every_entry_in_edge_order_across_slices(monkeypatch):
+    # uniform floats round, so an entry's sum tells apart the orders of its
+    # terms; slices of 1 to 4 edges cut each call between and inside the
+    # column layout and the edge-by-edge one
+    rng = random.Random(2121)
+    graphs = [random_hypergraph(rng, k_choices=(2, 3, 4, 5), max_n=9, max_m=20)
+              for _ in range(40)]
+    for size in (1, 2, 3, 4, SLICE_EDGES):
+        monkeypatch.setattr("geoconn.tensor.SLICE_EDGES", size)
+        for g in graphs:
+            x = [rng.uniform(-10, 10) for _ in range(g.n)]
+            for factory in (adjacency, laplacian, shifted_laplacian):
+                got = apply(factory(g), x)
+                want = edge_by_edge_apply(factory(g), x)
+                assert list(map(repr, got)) == list(map(repr, want)), (size, factory.__name__)
 
 
 def test_laplacian_is_degree_diagonal_minus_adjacency():
