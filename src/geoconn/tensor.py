@@ -99,6 +99,8 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
     k = view.graph.k
     out = [c * (v ** (k - 1)) for c, v in zip(view.diagonal, xs)]
     edges = view.graph.edges
+    if not edges:
+        return out
     xs.insert(0, 0)  # slot 0 is never read: labels are 1-based
     out.insert(0, 0)
     sign = view.sign
@@ -106,18 +108,13 @@ def apply(view: HypergraphView, x: Sequence[Number]) -> list[Number]:
         part = edges[start:start + SLICE_EDGES]
         if len(part) >= k:
             columns = [list(map(xs.__getitem__, column)) for column in zip(*part)]
-            rows = zip(*_leave_one_out(columns, _times))
+            rows = zip(*_leave_one_out(columns, lambda a, b: list(map(mul, a, b))))
         else:  # fewer edges than members: k columns would be many short lists
             rows = (_leave_one_out(list(map(xs.__getitem__, edge)), mul) for edge in part)
         for i, term in zip(chain.from_iterable(part), chain.from_iterable(rows)):
             out[i] += sign * term
     del out[0]
     return out
-
-
-def _times(a: list, b: list) -> list:
-    """The entrywise product of two columns."""
-    return list(map(mul, a, b))
 
 
 def _leave_one_out(values: list, times) -> list:
