@@ -30,6 +30,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from geoconn import cli
+from test_acceptance import FIXTURES
 
 GOLDEN = Path(__file__).with_name("golden.json")
 HYPERGRAPH = "input.hg"
@@ -115,7 +116,6 @@ def _hostile() -> dict[str, bytes]:
 
 def _fixtures() -> dict[str, bytes]:
     """The acceptance-9 fixtures."""
-    from test_acceptance import FIXTURES
     return {f"fixture {name}": text.encode() for name, text in FIXTURES.items()}
 
 
