@@ -108,6 +108,12 @@ def _hostile() -> dict[str, bytes]:
         "cut last line": "3 6 2\n1 2 3\n4 5\n",
         "blank lines and trailing spaces": "\n3 6 2   \n\n1 2 3 \n\n  4 5 6\n\n",
     }
+    # more than cli.BLOCK_CHARS characters of comment lines before the header
+    comments = "#\n" * 40_000
+    files["header past the first block"] = comments + "3 6 2\n" + good
+    files["header k below 2 past the first block"] = comments + "1 3 0\n"
+    files["no-break space line before the header past the first block"] = (
+        comments + "\u00a0\n3 6 2\n" + good)
     out = {name: text.encode("utf-8") for name, text in files.items()}
     out["not utf-8"] = b"3 3 1\n1 2 \xff\n"
     out["not utf-8 in a comment"] = b"# \xff\n3 3 1\n1 2 3\n"
