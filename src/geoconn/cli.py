@@ -6,15 +6,14 @@ lines of k 1-based vertex labels each, every field ASCII [0-9]+, with
 LF, CRLF or CR.  Outside a ``#`` comment (full line or trailing), which may
 hold any text, fields are separated by spaces and tabs only: other
 whitespace, such as a form feed or a no-break space, is refused on its
-line.  Blank lines and comments are ignored.  The text is read in blocks
-of about ``BLOCK_CHARS`` characters cut at a line end, each into sorted
-label tuples; the labels 1..n are shared, one int object each.  Only a file
-with a wrong character, line count or token is read again line by line,
-with the same line splitter, to name the line of that fault.
-``construct`` validates the edges once, and the line of the edge its error
-names is found by counting.  Vector files hold one or more numbers per
-line, as integers, rationals ``p/q`` or finite decimals, under the same
-line rules; integer and rational entries keep the computation exact.
+line.  Blank lines and comments are ignored.  One block reader takes the
+text, header row first, in blocks of about ``BLOCK_CHARS`` characters cut
+at a line end, into sorted label tuples that share the labels 1..n;
+``construct`` validates them once.  One line reader, with the same line
+splitter, names the line of a fault: the first of a file the block reader
+refuses, or the edge ``construct`` refuses.  Vector files hold numbers,
+as integers, rationals ``p/q`` or finite decimals, under the same line
+rules; integer and rational entries keep the computation exact.
 
 JSON output (``--format json`` and ``report``) is ``json.dumps(document,
 indent=2)`` byte for byte; ``_json`` renders it in pieces, its lists of
@@ -103,43 +102,19 @@ def _lines(text: str) -> Iterator[str]:
         yield from block.split("\n")
 
 
-def _content(line: str, number: int) -> str:
-    """The line's text before any ``#``, stripped of spaces and tabs.
-    Raises ParseError, on line ``number``, when that text holds other
-    whitespace."""
-    content = line.split("#", 1)[0]
-    other = _NOT_SPACE_OR_TAB.search(content)
-    if other:
-        raise ParseError(f"fields must be separated by spaces and tabs, got {other[0]!r}",
-                         line=number)
-    return content.strip(" \t")
-
-
-def _content_lines(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, str]]:
-    """(line number, content) for each line whose ``_content`` is not
-    empty, the lines numbered from ``first``."""
-    for number, line in enumerate(lines, start=first):
-        content = _content(line, number)
+def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, content) for each line with content: its text before
+    any ``#``, stripped of spaces and tabs. Raises ParseError on the first
+    line whose content holds other whitespace."""
+    for number, line in enumerate(lines, start=1):
+        content = line.split("#", 1)[0]
+        other = _NOT_SPACE_OR_TAB.search(content)
+        if other:
+            raise ParseError(f"fields must be separated by spaces and tabs, got {other[0]!r}",
+                             line=number)
+        content = content.strip(" \t")
         if content:
             yield number, content
-
-
-def _header(blocks: Iterator[str]) -> tuple[int | None, str, str]:
-    """The number and content of the first line with content, and the text
-    after that line in its block; the lines up to it are read one at a
-    time, so no block is split. (None, "", "") when no line has content."""
-    number = 0
-    for block in blocks:
-        start = 0
-        while start <= len(block):
-            end = block.find("\n", start)
-            end = len(block) if end < 0 else end
-            number += 1
-            content = _content(block[start:end], number)
-            if content:
-                return number, content, block[end + 1:]
-            start = end + 1
-    return None, "", ""
 
 
 def _unsigned(line: str) -> tuple[int, ...] | None:
@@ -153,16 +128,36 @@ def _unsigned(line: str) -> tuple[int, ...] | None:
         return None
 
 
-def _edges(blocks: Iterable[str], k: int, n: int, m: int) -> list[Edge] | None:
-    """The sorted tuple of the labels on each line of the blocks, or None
-    unless every line is blank, a comment or ASCII [0-9]+ fields separated
-    by spaces and tabs, m lines of fields in all. Works a block at a time;
-    the labels 1..n are shared through one table. A row of other than k
-    labels, or with a label outside 1..n, stays for construct to refuse."""
-    table = list(range(n + 1))
+def _header(header: str, line: int | None) -> tuple[int, ...]:
+    """k, n and m of the header's content; raises ParseError on ``line``
+    unless they are three unsigned integers with 2 <= k <= n <= MAX_VERTICES."""
+    numbers = _unsigned(header)
+    if numbers is None or len(numbers) != 3:
+        raise ParseError(f"header must be 'k n m', three unsigned integers, got {header!r}",
+                         line=line)
+    k, n, m = numbers
+    if k < 2:
+        raise ParseError(f"uniformity k must be at least 2, got {k}", line=line)
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count n must be at most {MAX_VERTICES}, got {n}", line=line)
+    if k > n:
+        # no edge of k distinct labels fits in 1..n (this covers n = 0); it
+        # also bounds the exponent k - 1 of every contraction by MAX_VERTICES
+        raise ParseError(f"uniformity k must be at most n = {n}, got {k}", line=line)
+    return numbers
+
+
+def _edges(text: str) -> tuple[int, int, list[Edge]] | None:
+    """k, n and the sorted label tuple of each edge row, or None unless
+    every line is blank, a comment or ASCII [0-9]+ fields separated by
+    spaces and tabs: a header row ``_header`` takes, then m edge rows.
+    Works a block at a time; the labels 1..n are shared through one table.
+    A row of other than k labels, or with a label outside 1..n, stays for
+    construct to refuse."""
+    table = None
     edges: list[Edge] = []
     rows_seen = 0
-    for block in blocks:
+    for block in _blocks(text):
         lines = block.split("\n")
         if "#" in block:
             lines = [line.split("#", 1)[0] for line in lines]
@@ -172,6 +167,14 @@ def _edges(blocks: Iterable[str], k: int, n: int, m: int) -> list[Edge] | None:
         if not content.isascii() or any(map(content.__contains__, _REFUSED_IN_BULK)):
             return None
         rows = list(filter(None, map(str.split, lines)))
+        if table is None:
+            if not rows:
+                continue
+            try:
+                k, n, m = _header(" ".join(rows.pop(0)), None)
+            except ParseError:
+                return None
+            table = list(range(n + 1))
         rows_seen += len(rows)
         if rows_seen > m:
             return None
@@ -190,46 +193,25 @@ def _edges(blocks: Iterable[str], k: int, n: int, m: int) -> list[Edge] | None:
         else:  # grouped per row: 4.0 ms per 15,000 rows, against 2.4 ms by zip
             groups = [islice(groups, len(row)) for row in rows]
         edges += map(tuple, map(sorted, groups))
-    return edges if rows_seen == m else None
+    return (k, n, edges) if table is not None and rows_seen == m else None
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the ``k n m`` + edge-lines format. Raises ParseError with the
     offending 1-based line number, or the underlying edge validation error
-    wrapped with its line.
-
-    The edge lines are read in blocks of about BLOCK_CHARS characters into
-    sorted label tuples (``_edges``), which ``construct`` validates once;
-    its EdgeError is reported on the line of the edge it names. Only when a
-    block cannot be read so are the lines read one at a time, to name a bad
-    character, a wrong line count or the first bad token."""
-    blocks = _blocks(text)
-    header_line, header, rest = _header(blocks)
-    if header_line is None:
-        raise ParseError("empty input, expected a 'k n m' header", line=None)
-    numbers = _unsigned(header)
-    if numbers is None or len(numbers) != 3:
-        raise ParseError(f"header must be 'k n m', three unsigned integers, got {header!r}",
-                         line=header_line)
-    k, n, m = numbers
-    if k < 2:
-        raise ParseError(f"uniformity k must be at least 2, got {k}", line=header_line)
-    if n > MAX_VERTICES:
-        raise ParseError(f"vertex count n must be at most {MAX_VERTICES}, got {n}",
-                         line=header_line)
-    if k > n:
-        # no edge of k distinct labels fits in 1..n (this covers n = 0); it
-        # also bounds the exponent k - 1 of every contraction by MAX_VERTICES
-        raise ParseError(f"uniformity k must be at most n = {n}, got {k}", line=header_line)
-
-    def body() -> Iterator[tuple[int, str]]:
-        return _content_lines(islice(_lines(text), header_line, None), header_line + 1)
-
-    edges = _edges(chain([rest], blocks), k, n, m)
-    if edges is None:
-        # a bad character raises as it is read, then the count, then the token
+    wrapped with its line. ``_edges`` reads the text; the lines of a text it
+    refuses, or of an edge ``construct`` refuses, are named by
+    ``_content_lines``."""
+    read = _edges(text)
+    rows = _content_lines(_lines(text))
+    if read is None:
+        # a bad character raises as it is read, then the header, the count, the token
+        header_line, header = next(rows, (None, ""))
+        if header_line is None:
+            raise ParseError("empty input, expected a 'k n m' header", line=None)
+        m = _header(header, header_line)[2]
         count, bad = 0, None
-        for line_number, line in body():
+        for line_number, line in rows:
             count += 1
             if bad is None and _unsigned(line) is None:
                 bad = ParseError(f"edge line must hold unsigned integer labels, got {line!r}",
@@ -238,10 +220,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise ParseError(f"header promises {m} edges, file has {count}", line=header_line)
         raise bad or RuntimeError("internal error: the bulk parse refused a file "
                                   "in which the line-by-line re-scan finds no fault")
+    k, n, edges = read
     try:
         return construct(n, k, edges)
     except EdgeError as exc:
-        line_number, _ = next(islice(body(), exc.edge_index, None))
+        line_number, _ = next(islice(rows, exc.edge_index + 1, None))
         raise ParseError(str(exc), line=line_number) from exc
 
 
@@ -714,8 +697,10 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # stdout was closed: devnull takes it, so the flush at exit succeeds
+    except OSError as exc:  # a failed write to stdout; a closed one stays silent
+        if not isinstance(exc, BrokenPipeError):
+            print(f"geoconn: error: cannot write stdout: {exc}", file=sys.stderr)
+        # devnull takes what is left, so the flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_INPUT
     sys.exit(code)

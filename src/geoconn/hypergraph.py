@@ -40,7 +40,7 @@ class Hypergraph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"uniformity k must be an integer >= 2, got {self.k!r}")

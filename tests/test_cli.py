@@ -173,6 +173,17 @@ def test_parse_hypergraph_reports_the_first_fault_of_several():
             parse_hypergraph(text)
         assert type(err.value.__cause__) is error
         assert (err.value.line, str(err.value)) == (line, message)
+    # a header fault comes before every fault after it: a bad character, a
+    # bad token, a wrong count; a bad character before the header comes first
+    for text, line, message in (
+            ("# c\n1 5 3\n1 2\x0c3\n4 x 5\n", 2, "uniformity k must be at least 2, got 1"),
+            ("3 5\n1 2\u00a03\n4 x 5\n", 1,
+             "header must be 'k n m', three unsigned integers, got '3 5'"),
+            ("# c\n\u00a0\n1 5 0\n", 2,
+             "fields must be separated by spaces and tabs, got '\\xa0'")):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert (err.value.line, str(err.value)) == (line, message)
 
 
 def test_parse_hypergraph_validates_edges_once(monkeypatch):
@@ -502,6 +513,20 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
         child.stdout.close()
         _, stderr = child.communicate(timeout=120)
     assert (child.returncode, stderr) == (EXIT_INPUT, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_failed_write_to_stdout_exits_2_with_one_line(tmp_path):
+    # a full device used to end in an OSError traceback with exit 1, the
+    # code of a rejected certificate
+    path = write(tmp_path, "g.hg", "2 2000 0\n")
+    for command in ("check", "report"):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "geoconn.cli", command, path],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr == ("geoconn: error: cannot write stdout: "
+                               "[Errno 28] No space left on device\n")
 
 
 def test_huge_header_is_refused_before_allocating(tmp_path):

@@ -114,6 +114,9 @@ def test_construct_rejects_bad_sizes():
         construct(0, 3, [])
     with pytest.raises(ValueError):
         construct(4, 1, [])
+    for n, k in ((True, 2), (4, True)):  # bool is an int subclass, but no count
+        with pytest.raises(ValueError):
+            construct(n, k, [])
 
 
 def test_degrees_counts_incidences():
