@@ -24,6 +24,9 @@ Python steps.  ``_emit`` writes every output, JSON or text, joined
 ``EMIT_CHARS`` characters at a time, so it is never held whole and the
 commands need O(n + k*m) memory.
 
+The parser is built once, at import, so ``run`` can be called any number of
+times in one process for the cost of its parse; one-shot commands cost the same.
+
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 2 malformed input, a failed write (a closed stdout too) or no memory left,
 3 iteration did not converge (``perron`` only).
@@ -584,9 +587,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, handler) -> None:
     sub.add_argument("hypergraph", help="hypergraph file (k n m header + edge lines)")
     sub.add_argument("--out", default=None, help="write output to a file")
+    sub.set_defaults(handler=handler)
 
 
 def _at_least(parse, low: int, what: str, strict: bool = False):
@@ -603,9 +607,10 @@ def _at_least(parse, low: int, what: str, strict: bool = False):
     return convert
 
 
-def _add_tol(sub: argparse.ArgumentParser, strict: bool = False) -> None:
+def _add_tol(sub: argparse.ArgumentParser, strict: bool = False,
+             what: str = "acceptance tolerance") -> None:
     sub.add_argument("--tol", type=_at_least(float, 0, "a finite number", strict),
-                     default=DEFAULT_TOL, help="acceptance tolerance (default 1e-9)")
+                     default=DEFAULT_TOL, help=f"{what} (default 1e-9)")
 
 
 def _add_max_iter(sub: argparse.ArgumentParser) -> None:
@@ -625,18 +630,19 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("components", help="connected components")
-    _add_common(sub)
+    _add_common(sub, _cmd_components)
     _add_format(sub)
 
     sub = commands.add_parser("beta", help="geometry connectivity with certificates")
-    _add_common(sub)
+    _add_common(sub, _cmd_beta)
     _add_tol(sub)
     _add_format(sub)
     sub.add_argument("--z", action="store_true", help="use Z-eigenvector normalization")
 
     sub = commands.add_parser("perron", help="spectral radius by power iteration")
-    _add_common(sub)
-    _add_tol(sub, strict=True)  # its stop rule upper - lower < tol never holds at 0
+    _add_common(sub, _cmd_perron)
+    _add_tol(sub, strict=True,  # its stop rule upper - lower < tol never holds at 0
+             what="bracket width on rho to stop below, the pair then verified at 10*tol")
     _add_max_iter(sub)
     _add_format(sub)
     # a Laplacian with an edge has negative entries; one without is connected only at n = 1
@@ -644,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="adjacency", help="tensor to iterate on (default adjacency)")
 
     sub = commands.add_parser("verify", help="check a candidate eigenpair")
-    _add_common(sub)
+    _add_common(sub, _cmd_verify)
     _add_tol(sub)
     _add_format(sub)
     sub.add_argument("--vector", required=True,
@@ -657,31 +663,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("check",
                               help="cross-check beta variants against components")
-    _add_common(sub)
+    _add_common(sub, _cmd_check)
     _add_tol(sub)
 
     sub = commands.add_parser("report", help="full JSON connectivity report")
-    _add_common(sub)
+    _add_common(sub, _cmd_report)
     _add_tol(sub)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv: Sequence[str] | None = None, *, stderr: TextIO | None = None) -> int:
     if stderr is None:
         stderr = sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "components": _cmd_components,
-        "beta": _cmd_beta,
-        "perron": _cmd_perron,
-        "verify": _cmd_verify,
-        "check": _cmd_check,
-        "report": _cmd_report,
-    }
+    args = _PARSER.parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except NoConvergence as exc:
         print(f"geoconn: error: {exc}", file=stderr)
         return EXIT_NO_CONVERGENCE

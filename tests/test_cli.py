@@ -1,5 +1,6 @@
 """File formats, argument handling and exit codes of the command line."""
 
+import argparse
 import gc
 import json
 import os
@@ -21,6 +22,7 @@ from geoconn import (
     laplacian,
     perron,
 )
+from geoconn import cli
 from geoconn.cli import (
     BLOCK_CHARS,
     EXIT_INPUT,
@@ -28,6 +30,7 @@ from geoconn.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     MAX_VERTICES,
+    build_parser,
     parse_hypergraph,
     parse_scalar,
     parse_vector,
@@ -801,22 +804,88 @@ def test_json_output_is_json_dumps_indent_2(tmp_path, capsys):
         assert target.read_bytes() == out.encode(), argv
 
 
+# argv the parser refuses: a flag a subcommand does not read, a tolerance
+# not finite and >= 0, an iteration cap < 1, an unknown choice, no subcommand
+FOREIGN_FLAGS = (["check", "x.hg", "--format", "json"], ["report", "x.hg", "--max-iter", "5"],
+                 ["components", "x.hg", "--tol", "0.1"], ["beta", "x.hg", "--max-iter", "5"])
+BAD_NUMBERS = (["check", "x.hg", "--tol", "nan"], ["check", "x.hg", "--tol", "-1"],
+               ["beta", "x.hg", "--tol", "inf"], ["report", "x.hg", "--tol", "x"],
+               ["perron", "x.hg", "--max-iter", "0"], ["perron", "x.hg", "--max-iter", "-5"],
+               ["perron", "x.hg", "--max-iter", "2.5"], ["perron", "x.hg", "--tol", "0"])
+BAD_USAGE = (["perron", "x.hg", "--tensor", "bogus"], *FOREIGN_FLAGS, *BAD_NUMBERS, [])
+
+
 def test_bad_usage_raises_system_exit(capsys):
-    with pytest.raises(SystemExit):
-        run(["perron", "x.hg", "--tensor", "bogus"])
-    # each subcommand accepts only the flags it reads
-    for argv in (["check", "x.hg", "--format", "json"], ["report", "x.hg", "--max-iter", "5"],
-                 ["components", "x.hg", "--tol", "0.1"], ["beta", "x.hg", "--max-iter", "5"]):
-        with pytest.raises(SystemExit):
-            run(argv)
-    # a tolerance must be finite and >= 0, an iteration cap >= 1
-    for argv in (["check", "x.hg", "--tol", "nan"], ["check", "x.hg", "--tol", "-1"],
-                 ["beta", "x.hg", "--tol", "inf"], ["report", "x.hg", "--tol", "x"],
-                 ["perron", "x.hg", "--max-iter", "0"], ["perron", "x.hg", "--max-iter", "-5"],
-                 ["perron", "x.hg", "--max-iter", "2.5"], ["perron", "x.hg", "--tol", "0"]):
+    for argv in BAD_USAGE:
         with pytest.raises(SystemExit) as exc:
             run(argv)
-        assert exc.value.code == 2
-        assert f"argument {argv[2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if argv in BAD_NUMBERS:
+            assert exc.value.code == 2
+            assert f"argument {argv[2]}" in err
+
+
+def test_the_parser_built_at_import_answers_as_a_fresh_one(tmp_path, monkeypatch, capsys):
+    """run parses every call of a process with one parser. Each call, valid,
+    refused or --help, returns, prints and writes what a parser built for it
+    alone gives, and no flag of one call reaches the next call's namespace."""
+    monkeypatch.setenv("COLUMNS", "80")
+    two = write(tmp_path, "two.hg", TWO_COMPONENTS)
+    edge = write(tmp_path, "edge.hg", SINGLE_EDGE)
+    ones = write(tmp_path, "ones.vec", "1\n" * 7)
+    target = tmp_path / "verify.out"
+    verify = ["verify", two, "--vector", ones, "--lambda", "0"]
+    # each call with flags comes before a call of the same command without them
+    valid = [["check", two], ["report", two],
+             ["beta", two, "--z", "--format", "json"], ["beta", two],
+             ["perron", edge, "--tol", "1e-3"], ["perron", edge],
+             ["perron", edge, "--tensor", "laplacian-shifted"], ["perron", edge],
+             [*verify, "--out", str(target), "--tensor", "adjacency", "--z"], verify,
+             ["check", two, "--tol", "0.5"], ["check", two]]
+    helps = [["-h"]] + [[name, "--help"] for name in
+                        ("components", "beta", "perron", "verify", "check", "report")]
+    refused = [*BAD_USAGE, *helps]
+    sequence = [argv for pair in zip(valid, refused) for argv in pair]
+    sequence += valid[len(refused):] + refused[len(valid):]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, written
+
+    namespaces = []
+    parse_args = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args",
+                        lambda *args: namespaces.append(parse_args(*args)) or namespaces[-1])
+    for argv in sequence:
+        got = outcome(argv)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_PARSER", build_parser())
+            assert outcome(argv) == got, argv
+        if argv in valid:
+            assert vars(namespaces.pop()) == vars(build_parser().parse_args(argv)), argv
+        assert namespaces == []
+
+
+def test_run_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    two = write(tmp_path, "two.hg", TWO_COMPONENTS)
+    edge = write(tmp_path, "edge.hg", SINGLE_EDGE)
+    for argv in (["check", two], ["components", two, "--format", "json"], ["perron", edge],
+                 ["check", two]):
+        assert run(argv) == EXIT_OK, argv
     with pytest.raises(SystemExit):
-        run([])
+        run(["check"])
+    assert built == []
