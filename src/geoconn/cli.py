@@ -24,8 +24,13 @@ Python steps.  ``_emit`` writes every output, JSON or text, joined
 ``EMIT_CHARS`` characters at a time, so it is never held whole and the
 commands need O(n + k*m) memory.
 
-The parser is built once, at import, so ``run`` can be called any number of
-times in one process for the cost of its parse; one-shot commands cost the same.
+``run`` is every command's one door: it parses argv, loads the hypergraph,
+hands it to the subcommand's handler, which only analyses and renders (its
+output pieces and exit code), writes the pieces and maps every failure to
+its exit code and one line on its ``stderr`` argument.  A usage error is
+printed there too and still raises SystemExit(2).  The parser is built once,
+at import, so ``run`` can be called any number of times in one process for
+the cost of its parse; one-shot commands cost the same.
 
 Exit codes: 0 success, 1 analysis mismatch or rejected certificate,
 2 malformed input, a failed write (a closed stdout too) or no memory left,
@@ -40,6 +45,7 @@ import json
 import os
 import re
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction
 from itertools import chain, islice
 from math import inf, isfinite, nan
@@ -54,6 +60,7 @@ from .spectral import (
     PERRON_TOL,
     ConnectivityReport,
     EigenpairCertificate,
+    PerronResult,
     geometry_connectivity,
     perron,
     verify_h_eigenpair,
@@ -300,9 +307,7 @@ def _decimal(value: Number) -> str:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return str(value)
-    return repr(value)
+    return str(value)  # an int
 
 
 class _Padded:
@@ -350,10 +355,22 @@ def _certificate_document(certificate: EigenpairCertificate, part: Sequence[int]
     }
 
 
+def _perron_document(result: PerronResult) -> dict:
+    """The JSON object of a Perron pair, for ``perron --format json`` and
+    the report's ``perron`` block alike."""
+    return {
+        "rho": _decimal(result.rho),
+        "vector": [_decimal(v) for v in result.vector],
+        "iterations": result.iterations,
+        "tolerance": _decimal(result.tolerance),
+    }
+
+
 def _perron_block(g: Hypergraph, certificate: EigenpairCertificate) -> dict | None:
     """The Perron pair of the shifted Laplacian s*I - L_G of a connected
     input with edges, s the maximum degree, restated from the H certificate
-    (0, all-ones) of L_G; None when that certificate's residual is not 0.
+    (0, all-ones) of L_G, as ``_perron_document`` renders it; None when that
+    certificate's residual is not 0.
 
     The pair is (s, all-ones): (s*I - L_G) 1 - s 1 = -L_G 1, so it has the
     certificate's exact residual, and a weakly irreducible nonnegative
@@ -362,12 +379,8 @@ def _perron_block(g: Hypergraph, certificate: EigenpairCertificate) -> dict | No
     """
     if certificate.residual != 0:
         return None
-    return {
-        "rho": _decimal(float(max(degrees(g)))),
-        "vector": [_decimal(float(v)) for v in certificate.vector],
-        "iterations": 1,
-        "tolerance": _decimal(PERRON_TOL),
-    }
+    return _perron_document(PerronResult(float(max(degrees(g))),
+                                         tuple(map(float, certificate.vector)), 1, PERRON_TOL))
 
 
 def _report_document(g: Hypergraph, source: str, report: ConnectivityReport) -> dict:
@@ -439,19 +452,17 @@ EMIT_CHARS = 1 << 18
 
 def _write(pieces: Iterable[str], handle: TextIO) -> None:
     """Write the pieces joined about EMIT_CHARS characters at a time, then
-    a newline unless the last piece ends in one."""
+    one newline: no renderer's last piece ends in one."""
     batch: list[str] = []
     size = 0
-    piece = ""
     for piece in pieces:
         batch.append(piece)
         size += len(piece)
         if size >= EMIT_CHARS:
             handle.write("".join(batch))
             batch, size = [], 0
+    batch.append("\n")
     handle.write("".join(batch))
-    if not piece.endswith("\n"):
-        handle.write("\n")
 
 
 def _emit(pieces: Iterable[str], out: str | None) -> None:
@@ -466,21 +477,22 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
         raise IoError(f"cannot write {out}: {exc}") from exc
 
 
-def _cmd_components(args: argparse.Namespace) -> int:
-    g = _load(args.hypergraph, parse_hypergraph)
+def _exit_code(certificates: Iterable[EigenpairCertificate]) -> int:
+    return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH
+
+
+def _cmd_components(g: Hypergraph, args: argparse.Namespace) -> tuple[Iterable[str], int]:
     decomposition = check_components(g, connected_components(g))
     if args.format == "json":
         document = {
             "components": decomposition.count,
             "parts": [list(part) for part in decomposition.parts],
         }
-        _emit(_json(document), args.out)
-    else:
-        lines = [f"components: {decomposition.count}"]
-        for index, part in enumerate(decomposition.parts, start=1):
-            lines.append(f"  {index}: {' '.join(map(str, part))}")
-        _emit(["\n".join(lines)], args.out)
-    return EXIT_OK
+        return _json(document), EXIT_OK
+    lines = [f"components: {decomposition.count}"]
+    for index, part in enumerate(decomposition.parts, start=1):
+        lines.append(f"  {index}: {' '.join(map(str, part))}")
+    return ["\n".join(lines)], EXIT_OK
 
 
 def _beta_lines(label: str, value: int, certificates: Sequence[EigenpairCertificate],
@@ -493,8 +505,7 @@ def _beta_lines(label: str, value: int, certificates: Sequence[EigenpairCertific
         yield f") residual {_decimal(cert.residual)}{suffix}"
 
 
-def _cmd_beta(args: argparse.Namespace) -> int:
-    g = _load(args.hypergraph, parse_hypergraph)
+def _cmd_beta(g: Hypergraph, args: argparse.Namespace) -> tuple[Iterable[str], int]:
     report = geometry_connectivity(g, tol=args.tol)
     if args.z:
         label, value, certificates = "beta_z", report.beta_z, report.z_certificates
@@ -502,64 +513,44 @@ def _cmd_beta(args: argparse.Namespace) -> int:
         label, value, certificates = "beta", report.beta, report.certificates
     parts = report.decomposition.parts
     if args.format == "json":
-        document = {
+        pieces = _json({
             label: value,
             "certificates": [_certificate_document(c, part, g.n)
                              for c, part in zip(certificates, parts)],
-        }
-        _emit(_json(document), args.out)
+        })
     else:
-        _emit(_beta_lines(label, value, certificates, parts, g.n), args.out)
-    return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH
+        pieces = _beta_lines(label, value, certificates, parts, g.n)
+    return pieces, _exit_code(certificates)
 
 
-def _cmd_perron(args: argparse.Namespace) -> int:
-    g = _load(args.hypergraph, parse_hypergraph)
+def _cmd_perron(g: Hypergraph, args: argparse.Namespace) -> tuple[Iterable[str], int]:
     result = perron(TENSOR_VIEWS[args.tensor](g), tol=args.tol, max_iter=args.max_iter)
     if args.format == "json":
-        document = {
-            "rho": _decimal(result.rho),
-            "vector": [_decimal(v) for v in result.vector],
-            "iterations": result.iterations,
-            "tolerance": _decimal(result.tolerance),
-        }
-        _emit(_json(document), args.out)
-    else:
-        lines = [
-            f"rho: {result.rho!r}",
-            f"iterations: {result.iterations}",
-            "vector: " + " ".join(repr(v) for v in result.vector),
-        ]
-        _emit(["\n".join(lines)], args.out)
-    return EXIT_OK
+        return _json(_perron_document(result)), EXIT_OK
+    return [f"rho: {result.rho!r}\niterations: {result.iterations}\nvector: "
+            + " ".join(map(repr, result.vector))], EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    g = _load(args.hypergraph, parse_hypergraph)
+def _cmd_verify(g: Hypergraph, args: argparse.Namespace) -> tuple[Iterable[str], int]:
     x = _load(args.vector, parse_vector)
     try:
         lam = parse_scalar(args.lam)
     except ParseError as exc:
         raise ParseError(f"--lambda: {exc}", line=None) from None
-    view = TENSOR_VIEWS[args.tensor](g)
-    if args.z:
-        certificate = verify_z_eigenpair(view, lam, x, tol=args.tol)
-    else:
-        certificate = verify_h_eigenpair(view, lam, x, tol=args.tol)
-    verdict = "ACCEPTED" if certificate.accepted else "REJECTED"
+    verify = verify_z_eigenpair if args.z else verify_h_eigenpair
+    certificate = verify(TENSOR_VIEWS[args.tensor](g), lam, x, tol=args.tol)
     if args.format == "json":
         document = _certificate_document(certificate, g.vertices(), g.n)
         document["accepted"] = certificate.accepted
-        _emit(_json(document), args.out)
+        pieces = _json(document)
     else:
+        verdict = "ACCEPTED" if certificate.accepted else "REJECTED"
         suffix = " (exact)" if certificate.exact else ""
-        _emit([f"{verdict} residual {_decimal(certificate.residual)}{suffix}"],
-              args.out)
-    return EXIT_OK if certificate.accepted else EXIT_MISMATCH
+        pieces = [f"{verdict} residual {_decimal(certificate.residual)}{suffix}"]
+    return pieces, _exit_code([certificate])
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    g = _load(args.hypergraph, parse_hypergraph)
+def _cmd_check(g: Hypergraph, args: argparse.Namespace) -> tuple[Iterable[str], int]:
     report = geometry_connectivity(g, tol=args.tol)
     expected = report.component_count
     checks = [
@@ -574,17 +565,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
                        all(c.accepted for c in report.rho_certificates)))
     lines = [f"{'ok' if passed else 'MISMATCH'}: {name}" for name, passed in checks]
     lines.append(f"beta = {expected} = components")
-    _emit(["\n".join(lines)], args.out)
-    return EXIT_OK if all(passed for _, passed in checks) else EXIT_MISMATCH
+    return ["\n".join(lines)], EXIT_OK if all(passed for _, passed in checks) else EXIT_MISMATCH
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    g = _load(args.hypergraph, parse_hypergraph)
+def _cmd_report(g: Hypergraph, args: argparse.Namespace) -> tuple[Iterable[str], int]:
     report = geometry_connectivity(g, tol=args.tol)
-    _emit(_json(_report_document(g, args.hypergraph, report)), args.out)
     certificates = (report.certificates + report.z_certificates
                     + (report.rho_certificates or ()))
-    return EXIT_OK if all(c.accepted for c in certificates) else EXIT_MISMATCH
+    return _json(_report_document(g, args.hypergraph, report)), _exit_code(certificates)
 
 
 def _add_common(sub: argparse.ArgumentParser, handler) -> None:
@@ -677,11 +665,18 @@ _PARSER = build_parser()
 
 
 def run(argv: Sequence[str] | None = None, *, stderr: TextIO | None = None) -> int:
+    """Run one command: parse argv, load the hypergraph, render its analysis
+    and write it, mapping every failure to its exit code and one line on
+    ``stderr`` (sys.stderr when None). A usage error is printed there too and
+    raises SystemExit(2); --help prints on stdout and raises SystemExit(0)."""
     if stderr is None:
         stderr = sys.stderr
-    args = _PARSER.parse_args(argv)
+    with redirect_stderr(stderr):  # where argparse prints a usage error
+        args = _PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        pieces, code = args.handler(_load(args.hypergraph, parse_hypergraph), args)
+        _emit(pieces, args.out)
+        return code
     except NoConvergence as exc:
         print(f"geoconn: error: {exc}", file=stderr)
         return EXIT_NO_CONVERGENCE

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import io
 import json
 import os
 import random
@@ -398,6 +399,26 @@ def test_perron_text_and_shifted(tmp_path, capsys):
     document = json.loads(capsys.readouterr().out)
     assert float(document["rho"]) == pytest.approx(2.0, abs=1e-9)
     assert document["iterations"] >= 1
+
+
+@pytest.mark.parametrize("text", ["3 7 3\n1 2 3\n3 4 5\n5 6 7\n",  # a loose path
+                                  "3 8 4\n1 2 3\n3 4 5\n1 5 6\n6 7 8\n",  # irregular
+                                  # the tight cycle on 6 vertices, 3-regular
+                                  "3 6 6\n1 2 3\n2 3 4\n3 4 5\n4 5 6\n5 6 1\n6 1 2\n",
+                                  TWO_COMPONENTS])
+def test_report_perron_block_prints_as_the_solver_does(tmp_path, capsys, text):
+    # L 1 = 0, so all-ones is a fixed point of s*I - L and the solver stops
+    # at iteration 1 with the pair the report restates, rendered alike
+    path = write(tmp_path, "g.hg", text)
+    assert run(["report", path]) == EXIT_OK
+    block = json.loads(capsys.readouterr().out)["perron"]
+    code = run(["perron", path, "--tensor", "laplacian-shifted", "--tol", "1e-10",
+                "--format", "json"])
+    out = capsys.readouterr().out
+    if block is None:
+        assert (text, code, out) == (TWO_COMPONENTS, EXIT_INPUT, "")
+    else:
+        assert (code, out) == (EXIT_OK, json.dumps(block, indent=2) + "\n")
 
 
 def test_perron_error_exit_codes(tmp_path, capsys):
@@ -823,6 +844,27 @@ def test_bad_usage_raises_system_exit(capsys):
         if argv in BAD_NUMBERS:
             assert exc.value.code == 2
             assert f"argument {argv[2]}" in err
+
+
+def test_a_usage_error_goes_to_the_stderr_run_is_given(tmp_path, capsys):
+    buffer = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(["check"], stderr=buffer)
+    assert exc.value.code == 2
+    assert buffer.getvalue().startswith("usage: geoconn check ")
+    assert "the following arguments are required: hypergraph" in buffer.getvalue()
+    assert capsys.readouterr() == ("", "")
+    # a handler's error goes there as well
+    refused = buffer.getvalue()
+    assert run(["check", str(tmp_path / "missing.hg")], stderr=buffer) == EXIT_INPUT
+    assert buffer.getvalue().startswith(refused + "geoconn: error: cannot read ")
+    assert capsys.readouterr() == ("", "")
+    # --help still prints on stdout
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"], stderr=buffer)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: geoconn ") and captured.err == ""
 
 
 def test_the_parser_built_at_import_answers_as_a_fresh_one(tmp_path, monkeypatch, capsys):
